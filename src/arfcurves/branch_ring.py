@@ -30,7 +30,8 @@ Every computation is exact below the truncation order and fails loudly
 (TruncationError) rather than extrapolate past it.
 """
 
-from .errors import DomainError, InputError, TruncationError, ValidationError
+from .errors import (DomainError, InputError, TruncationError, ValidationError,
+                     literal_int, literal_list)
 from .mult_tree import MultiplicityTree, canonical_form, tree_to_semigroup
 from .numerical import MultiplicitySequence
 from .series import SeriesTuple, TruncatedSeries, parse_series, valuation
@@ -121,11 +122,33 @@ def _capped_key(element, bound):
     return tuple(key)
 
 
-def _saturate(algebra, bound):
-    """Value-indexed basis of the algebra, complete within [0, bound]."""
-    cached = algebra._cache.get(bound)
+def _cut(element, bound):
+    """The element truncated to min(truncation_j, bound_j + 1) on each branch.
+
+    Orders are never negative, so a term of degree <= bound_j of a sum,
+    product, scaling or leading-term elimination depends only on operand
+    terms of degree <= bound_j.  Saturating cut generators therefore
+    inserts the same keys in the same order, and raises the same
+    TruncationErrors, as saturating the full-precision ones.
+    """
+    return SeriesTuple(
+        TruncatedSeries(component.coefficients, min(component.truncation, b + 1))
+        for component, b in zip(element.components, bound)
+    )
+
+
+def _saturate(algebra, bound, cut=False):
+    """Value-indexed basis of the algebra, complete within [0, bound].
+
+    With `cut`, the generators are first cut to bound+1 (see `_cut`): the
+    keys are the same, the elements are not fit for division.
+    """
+    cached = algebra._cache.get((bound, cut))
     if cached is not None:
         return cached
+    generators = algebra.generators
+    if cut:
+        generators = [_cut(g, bound) for g in generators]
     d = algebra.d
     big = tuple(b + 1 for b in bound)
     zero_key = (0,) * d
@@ -148,12 +171,12 @@ def _saturate(algebra, bound):
                 element.components[j].coefficients[key[j]]
                 / existing.components[j].coefficients[key[j]]
             )
+            # a vanished element has key big when its truncation decides
+            # the box, and raises otherwise
             element = element - existing.scale(mu)
-            if element.is_zero():
-                return False
 
     insert(SeriesTuple.constant(1, d))
-    for g in algebra.generators:
+    for g in generators:
         insert(g)
 
     processed = set()
@@ -186,7 +209,7 @@ def _saturate(algebra, bound):
                         )
                         grew |= insert(f1 - f2.scale(mu))
 
-    algebra._cache[bound] = basis
+    algebra._cache[(bound, cut)] = basis
     return basis
 
 
@@ -220,8 +243,12 @@ def is_local_ring(algebra):
     is a unit in some components and a nonunit in others; after constants
     are normalized away, such an element shows up in the saturated basis as
     a key with a zero coordinate next to a nonzero one.
+
+    The test reads only keys inside [0, fm_bound], and terms of degree
+    above fm_bound_j never reach such a key, so it saturates generators cut
+    to fm_bound+1: its cost does not grow with the truncation order.
     """
-    return _local_witness(_saturate(algebra, _fm_bound(algebra))) is None
+    return _local_witness(_saturate(algebra, _fm_bound(algebra), cut=True)) is None
 
 
 def value_set(algebra, bound):
@@ -325,6 +352,14 @@ def multiplicity_tree_of_curve(algebra):
     """
     if not is_local_ring(algebra):
         raise DomainError("the curve is not local; only local curves have a multiplicity tree")
+    for a in range(algebra.d):
+        for b in range(a + 1, algebra.d):
+            if all(g.components[a] == g.components[b] for g in algebra.generators):
+                raise TruncationError(
+                    "branches %d and %d have the same component in every generator, so "
+                    "they fail to separate in every blowup; no larger truncation of "
+                    "these literals separates them" % (a + 1, b + 1)
+                )
     # slots: still-glued branch groups in output order, with their algebras;
     # boundaries[i] is the level at which slots i and i+1 separated
     slots = [{"alg": algebra, "branches": list(range(algebra.d)), "active": True}]
@@ -408,16 +443,16 @@ def curve_from_dict(data):
     """
     if not isinstance(data, dict) or "d" not in data or "generators" not in data:
         raise InputError("a curve literal needs d and generators")
-    d = int(data["d"])
+    d = literal_int(data["d"], "d")
     if d < 1:
         raise InputError("d must be at least 1, got %d" % d)
     variables = data.get("variables")
     if variables is None:
         variables = _variable_names(d)
-    variables = [str(v) for v in variables]
+    variables = [str(v) for v in literal_list(variables, "variables")]
     if len(variables) != d or len(set(variables)) != d:
         raise InputError("variables must be %d distinct names, got %r" % (d, variables))
-    truncation = int(data.get("truncation", DEFAULT_TRUNCATION))
+    truncation = literal_int(data.get("truncation", DEFAULT_TRUNCATION), "truncation")
     if truncation <= 0:
         raise InputError("truncation must be positive, got %d" % truncation)
     generators = data["generators"]

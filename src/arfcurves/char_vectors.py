@@ -10,7 +10,7 @@ maximizing split levels subject to the membership constraints of V.
 
 import itertools
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, literal_int, literal_ints, literal_list
 from .good_semigroup import GoodSemigroup, projection
 from .mult_tree import (MultiplicityTree, _condition_c_failure, node_path_sum,
                         semigroup_to_tree, tree_to_semigroup)
@@ -253,4 +253,6 @@ def charset_from_dict(data):
     for key in ("d", "vectors"):
         if key not in data:
             raise ValidationError("character-set literal needs d and vectors")
-    return CharacterVectorSet(data["d"], data["vectors"])
+    return CharacterVectorSet(literal_int(data["d"], "d"),
+                              [literal_ints(v, "a vector")
+                               for v in literal_list(data["vectors"], "vectors")])

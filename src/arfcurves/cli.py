@@ -16,9 +16,9 @@ from .branch_ring import (arf_closure_value_semigroup, curve_from_dict,
 from .char_vectors import (build_character_vectors, charset_from_dict,
                            charset_to_dict, reduce_characters,
                            smallest_arf_containing)
-from .errors import DomainError, InputError
-from .good_semigroup import (GoodSemigroup, good_from_dict, good_to_dict,
-                             is_arf_good, is_good, is_local)
+from .errors import DomainError, InputError, literal_ints
+from .good_semigroup import (GoodSemigroup, good_from_dict, good_literal,
+                             good_to_dict, is_arf_good, is_good, is_local)
 from .mult_tree import (render_ascii, render_dot, semigroup_to_tree,
                         tree_from_dict, tree_intersection, tree_to_dict,
                         tree_to_semigroup)
@@ -139,7 +139,8 @@ def cmd_seq(args):
 
 def cmd_unseq(args):
     data = _require(read_json(args.input), ("prefix",), "sequence")
-    return dumps(semigroup_to_dict(seq_to_semigroup(MultiplicitySequence(data["prefix"]))))
+    prefix = literal_ints(data["prefix"], "prefix")
+    return dumps(semigroup_to_dict(seq_to_semigroup(MultiplicitySequence(prefix))))
 
 
 def cmd_characters(args):
@@ -147,11 +148,12 @@ def cmd_characters(args):
 
 
 def cmd_check(args):
-    data = _require(read_json(args.input), ("d", "conductor", "small_elements"), "semigroup")
-    good, reason = is_good(data["d"], data["conductor"], data["small_elements"])
+    literal = good_literal(
+        _require(read_json(args.input), ("d", "conductor", "small_elements"), "semigroup"))
+    good, reason = is_good(*literal)
     report = {"is_good": good, "is_local": None, "is_arf": None, "reason": reason}
     if good:
-        S = GoodSemigroup(data["d"], data["conductor"], data["small_elements"])
+        S = GoodSemigroup(*literal)
         report["is_local"] = is_local(S)
         report["is_arf"] = is_arf_good(S)
     return dumps(report)

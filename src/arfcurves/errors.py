@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the type checks of JSON literal fields."""
+
+from numbers import Integral
 
 
 class DomainError(ValueError):
@@ -21,3 +23,22 @@ class InputError(ValueError):
             message = "%s (at position %d)" % (message, position)
         super().__init__(message)
         self.position = position
+
+
+def literal_int(value, what):
+    """An integer field of a literal; anything else is malformed input."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InputError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
+def literal_list(value, what):
+    """A list field of a literal; anything else is malformed input."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError("%s must be a list, got %r" % (what, value))
+    return list(value)
+
+
+def literal_ints(value, what):
+    """A list of integers in a literal."""
+    return [literal_int(x, "an entry of " + what) for x in literal_list(value, what)]

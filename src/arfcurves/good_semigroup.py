@@ -17,7 +17,7 @@ of user-supplied literals under it.
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, literal_int, literal_ints, literal_list
 from .numerical import NumericalSemigroup, semigroup_from_members
 
 
@@ -273,9 +273,17 @@ def good_to_dict(S):
             "small_elements": [list(v) for v in S.small_elements]}
 
 
-def good_from_dict(data):
-    """Build from a literal {"d": 2, "conductor": [...], "small_elements": [[...], ...]}."""
+def good_literal(data):
+    """(d, conductor, small_elements) of a literal, each of the right type."""
     for key in ("d", "conductor", "small_elements"):
         if key not in data:
             raise ValidationError("semigroup literal needs d, conductor and small_elements")
-    return GoodSemigroup(data["d"], data["conductor"], data["small_elements"])
+    return (literal_int(data["d"], "d"),
+            literal_ints(data["conductor"], "conductor"),
+            [literal_ints(v, "a small element")
+             for v in literal_list(data["small_elements"], "small_elements")])
+
+
+def good_from_dict(data):
+    """Build from a literal {"d": 2, "conductor": [...], "small_elements": [[...], ...]}."""
+    return GoodSemigroup(*good_literal(data))

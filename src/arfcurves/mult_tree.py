@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, literal_int, literal_list
 from .good_semigroup import (GoodSemigroup, is_arf_good, is_local,
                              plane_projection, projection, residue)
 from .numerical import MultiplicitySequence, decomposition_lengths, semigroup_to_seq
@@ -322,12 +322,12 @@ def tree_from_dict(data, validate=True):
     for key in ("d", "nodes"):
         if key not in data:
             raise ValidationError("tree literal needs d and nodes")
-    d = int(data["d"])
+    d = literal_int(data["d"], "d")
     if d < 1:
         raise ValidationError("d must be >= 1")
     by_level = {}
     parsed = []
-    for position, node in enumerate(data["nodes"]):
+    for position, node in enumerate(literal_list(data["nodes"], "nodes")):
         try:
             level = int(node["level"])
             vector = [int(x) for x in node["vector"]]

@@ -9,7 +9,7 @@ k_i >= 1 at every index.
 
 from math import gcd
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, literal_int, literal_ints
 
 
 class MultiplicitySequence:
@@ -307,7 +307,8 @@ def semigroup_to_dict(S):
 def semigroup_from_dict(data):
     """Build from a literal: {"generators": [...]} or {"conductor": c, "small_elements": [...]}."""
     if "generators" in data:
-        return NumericalSemigroup.from_generators(data["generators"])
+        return NumericalSemigroup.from_generators(literal_ints(data["generators"], "generators"))
     if "conductor" in data and "small_elements" in data:
-        return NumericalSemigroup(data["conductor"], data["small_elements"])
+        return NumericalSemigroup(literal_int(data["conductor"], "conductor"),
+                                  literal_ints(data["small_elements"], "small_elements"))
     raise ValidationError("semigroup literal needs either generators or conductor + small_elements")

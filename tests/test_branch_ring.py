@@ -1,10 +1,12 @@
 from functools import reduce
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arfcurves import branch_ring
 from arfcurves.branch_ring import (LocalAlgebra, arf_closure_value_semigroup, blowup,
                                    branch_multiplicity_sequence, curve_from_dict,
                                    curve_to_dict, curves_equivalent, is_local_ring,
@@ -14,7 +16,7 @@ from arfcurves.good_semigroup import GoodSemigroup
 from arfcurves.mult_tree import MultiplicityTree, noether_sum
 from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_closure,
                                  semigroup_to_seq)
-from arfcurves.series import SeriesTuple, parse_series
+from arfcurves.series import SeriesTuple, TruncatedSeries, parse_series
 
 
 def curve(*generators, **kwargs):
@@ -204,6 +206,100 @@ def test_tree_requires_local():
 def test_diagonal_never_separates():
     with pytest.raises(TruncationError, match="fail to separate"):
         multiplicity_tree_of_curve(curve(["t", "u"], truncation=12))
+
+
+def test_identical_branches_fail_before_the_first_blowup():
+    twins = curve(["t^2", "u^2"], ["3/2*t^3", "3/2*u^3"], truncation=64)
+    with mock.patch.object(branch_ring, "blowup", side_effect=AssertionError("blew up")):
+        with pytest.raises(TruncationError, match="branches 1 and 2 .* fail to separate"
+                           ".* no larger truncation"):
+            multiplicity_tree_of_curve(twins)
+
+
+def locality_inputs(algebra):
+    """Every algebra whose locality the multiplicity tree of `algebra` tests:
+    the curve, its blowups and the branch pairs that _partition restricts to."""
+    seen = []
+    real = branch_ring.is_local_ring
+
+    def record(candidate):
+        seen.append(candidate)
+        return real(candidate)
+
+    with mock.patch.object(branch_ring, "is_local_ring", record):
+        try:
+            multiplicity_tree_of_curve(algebra)
+        except TruncationError:
+            pass
+    return seen
+
+
+def saturation_outcome(algebra, bound, cut):
+    try:
+        return list(branch_ring._saturate(algebra, bound, cut=cut))
+    except TruncationError as exc:
+        return str(exc)
+
+
+def assert_cut_matches_full(algebra):
+    """The cut saturation inserts the keys of the full-precision one, in the
+    same order, and is_local_ring gives the verdict of the full basis."""
+    bound = branch_ring._fm_bound(algebra)
+    full = saturation_outcome(algebra, bound, cut=False)
+    assert saturation_outcome(algebra, bound, cut=True) == full
+    if isinstance(full, str):
+        with pytest.raises(TruncationError):
+            is_local_ring(algebra)
+        return None
+    local = branch_ring._local_witness(full) is None
+    assert is_local_ring(algebra) == local
+    return local
+
+
+def test_cut_saturation_matches_full_on_goldens():
+    verdicts = []
+    for algebra in (R46, R4613, C4, U, REP, UT, E2A, E2B, C1, C2, C3, FP):
+        inputs = locality_inputs(algebra)
+        assert len(inputs) > 1 or algebra.d == 1
+        verdicts.extend(assert_cut_matches_full(a) for a in inputs)
+    assert True in verdicts and False in verdicts
+
+
+@st.composite
+def plane_curves(draw):
+    """2-3 branches (x, y) = (s^p, c s^q + e s^(q+1)) at truncation 64."""
+    d = draw(st.integers(min_value=2, max_value=3))
+    x, y = [], []
+    for s in "tuv"[:d]:
+        p = draw(st.integers(min_value=1, max_value=4))
+        q = draw(st.integers(min_value=p + 1, max_value=p + 4))
+        c = draw(st.sampled_from(["1", "2", "-1", "3/2"]))
+        e = draw(st.sampled_from(["", "+%s^%d" % (s, q + 1)]))
+        x.append("%s^%d" % (s, p))
+        y.append("%s*%s^%d%s" % (c, s, q, e))
+    return curve(x, y, truncation=64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(plane_curves())
+def test_cut_saturation_matches_full_on_plane_curves(algebra):
+    for candidate in locality_inputs(algebra):
+        assert_cut_matches_full(candidate)
+
+
+def test_cut_keeps_truncation_errors():
+    # branch 1 is known only below order 3, and 3 is its smallest order
+    shallow = LocalAlgebra([
+        SeriesTuple([TruncatedSeries({3: 1}, 64), TruncatedSeries({2: 1}, 64)]),
+        SeriesTuple([TruncatedSeries({}, 3), TruncatedSeries({3: 1}, 64)]),
+    ])
+    assert branch_ring._fm_bound(shallow) == (3, 2)
+    with pytest.raises(TruncationError, match="cannot decide values up to 3 on branch 1"):
+        is_local_ring(shallow)
+    assert_cut_matches_full(shallow)
+    # two blowups of C3 at truncation 8 leave branch 1 known below order 2 only
+    with pytest.raises(TruncationError, match="cannot decide values up to 2 on branch 1"):
+        multiplicity_tree_of_curve(curve(["t^4", "u^2"], ["t^6+t^7", "u^3"], truncation=8))
 
 
 def test_closure_semigroups():

@@ -190,6 +190,21 @@ def test_exit_codes(capsys):
     assert run(capsys, "curve", "values", CURVE_B, "--bound", "4;2")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", '{"d":"x","conductor":[1,1],"small_elements":[[0,0],[1,1]]}'),
+    ("check", '{"d":1,"conductor":3,"small_elements":[[0],[3]]}'),
+    ("unseq", '{"prefix":"abc"}'),
+    ("seq", '{"generators":["a"]}'),
+    ("curve", "tree", '{"d":1,"generators":[["t^2"],["t^3"]],"truncation":"x"}'),
+])
+def test_mistyped_literals_exit_2(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_outputs_are_deterministic(capsys):
     first = run(capsys, "chars", "build", EX1)
     second = run(capsys, "chars", "build", EX1)
