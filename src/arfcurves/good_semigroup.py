@@ -14,11 +14,17 @@ the minimal conductor (from_member_grid), and is_good validates the axioms
 of user-supplied literals under it.
 """
 
+from math import prod
+
 import numpy as np
 
 from . import kernels
 from .errors import DomainError, ValidationError, literal_int, literal_ints, literal_list
 from .numerical import NumericalSemigroup, semigroup_from_members
+
+# Largest padded box [0, delta+1] the axiom checks will allocate (64 MiB of
+# booleans); a larger conductor is refused rather than exhausting memory.
+MAX_GRID_CELLS = 2 ** 26
 
 
 def _as_vector(value, d):
@@ -41,6 +47,10 @@ def _axiom_failure(d, conductor, small):
     for v in small:
         if any(x > c for x, c in zip(v, conductor)):
             return "element %r lies outside the conductor box" % (list(v),)
+    cells = prod(c + 2 for c in conductor)
+    if cells > MAX_GRID_CELLS:
+        raise DomainError("the conductor box needs %d grid cells, more than the "
+                          "limit of %d" % (cells, MAX_GRID_CELLS))
     n = len(small)
     arr = np.array(small, dtype=np.int64).reshape(n, d)
     dims = tuple(c + 1 for c in conductor)
@@ -77,6 +87,7 @@ def is_good(d, conductor, small_elements):
     Returns (True, None) or (False, message) naming the lexicographically
     first violation.  Conductor minimality is not part of the axioms and is
     not required here; the GoodSemigroup constructor does enforce it.
+    Raises DomainError when the padded conductor box exceeds MAX_GRID_CELLS.
     """
     d = int(d)
     if d < 1:

@@ -1,9 +1,6 @@
 """Integer-grid kernels for the good-semigroup axiom checks.
 
-Every check exists in two interchangeable variants: a loop kernel compiled
-with numba, and a vectorized numpy fallback.  The fallback is selected when
-numba is missing or the environment variable ARFCURVES_NO_NUMBA is set to a
-nonempty value.  benchmarks/bench_kernels.py times the two side by side.
+Each check is one vectorized numpy function.
 
 Conventions: a membership grid over the box [0, delta] (or [0, delta+1] for
 the padded grid used by the pair-lifting check) is passed as a flattened
@@ -12,11 +9,7 @@ index sum(v[c] * strides[c]).  Checks return the encoded position of the
 lexicographically first violation, or -1 when the property holds.
 """
 
-import os
-
 import numpy as np
-
-NUMBA_DISABLED = bool(os.environ.get("ARFCURVES_NO_NUMBA"))
 
 
 def flat_strides(dims):
@@ -28,93 +21,8 @@ def flat_strides(dims):
     return strides
 
 
-# ---------------------------------------------------------------------------
-# Loop kernels (numba-compiled when enabled).
-
-
-def _loop_min_violation(small, grid, strides):
-    n, d = small.shape
-    for i in range(n):
-        for j in range(i + 1, n):
-            flat = 0
-            for c in range(d):
-                a = small[i, c]
-                b = small[j, c]
-                flat += (a if a < b else b) * strides[c]
-            if not grid[flat]:
-                return i * n + j
-    return -1
-
-
-def _loop_sum_violation(small, grid, strides, delta):
-    n, d = small.shape
-    for i in range(n):
-        for j in range(i, n):
-            flat = 0
-            for c in range(d):
-                s = small[i, c] + small[j, c]
-                if s > delta[c]:
-                    s = delta[c]
-                flat += s * strides[c]
-            if not grid[flat]:
-                return i * n + j
-    return -1
-
-
-def _loop_lift_violation(small, ext, ext_strides, ext_dims):
-    # Pair-lifting axiom: for members a != b agreeing at a pivot coordinate,
-    # some member must exceed both at the pivot, equal min(a, b) where they
-    # differ, and dominate them where they agree.  Witnesses are complete
-    # inside the padded box, searched here with an odometer walk.
-    n, d = small.shape
-    lo = np.empty(d, np.int64)
-    cur = np.empty(d, np.int64)
-    fixed = np.empty(d, np.bool_)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for pivot in range(d):
-                if small[i, pivot] != small[j, pivot]:
-                    continue
-                for c in range(d):
-                    a = small[i, c]
-                    b = small[j, c]
-                    if a == b:
-                        fixed[c] = False
-                        lo[c] = a + 1 if c == pivot else a
-                    else:
-                        fixed[c] = True
-                        lo[c] = a if a < b else b
-                    cur[c] = lo[c]
-                found = False
-                while True:
-                    flat = 0
-                    for c in range(d):
-                        flat += cur[c] * ext_strides[c]
-                    if ext[flat]:
-                        found = True
-                        break
-                    k = d - 1
-                    while k >= 0:
-                        if fixed[k]:
-                            k -= 1
-                            continue
-                        cur[k] += 1
-                        if cur[k] < ext_dims[k]:
-                            break
-                        cur[k] = lo[k]
-                        k -= 1
-                    if k < 0:
-                        break
-                if not found:
-                    return (i * n + j) * d + pivot
-    return -1
-
-
-# ---------------------------------------------------------------------------
-# Vectorized numpy fallbacks.
-
-
-def _np_min_violation(small, grid, strides):
+def first_min_violation(small, grid, strides):
+    """First pair i < j whose componentwise min is missing, as i * n + j."""
     n = small.shape[0]
     for i in range(n):
         rest = small[i + 1:]
@@ -127,7 +35,8 @@ def _np_min_violation(small, grid, strides):
     return -1
 
 
-def _np_sum_violation(small, grid, strides, delta):
+def first_sum_violation(small, grid, strides, delta):
+    """First pair i <= j whose sum, capped at delta, is missing, as i * n + j."""
     n = small.shape[0]
     for i in range(n):
         ok = grid[np.minimum(small[i] + small[i:], delta) @ strides]
@@ -137,7 +46,15 @@ def _np_sum_violation(small, grid, strides, delta):
     return -1
 
 
-def _np_lift_violation(small, ext, ext_strides, ext_dims):
+def first_lift_violation(small, ext, ext_strides, ext_dims):
+    """First (pair i < j, pivot) without a lifting witness, as (i * n + j) * d + pivot.
+
+    Pair-lifting axiom: for members a != b agreeing at a pivot coordinate,
+    some member must exceed both at the pivot, equal min(a, b) where they
+    differ, and dominate them where they agree.  Witnesses are complete
+    inside the padded box, so each query is one slice of it; ext_strides is
+    unused here and kept for the shared calling convention.
+    """
     n, d = small.shape
     ext_nd = ext.reshape(tuple(int(s) for s in ext_dims))
     for i in range(n):
@@ -155,20 +72,3 @@ def _np_lift_violation(small, ext, ext_strides, ext_dims):
                 if not ext_nd[index].any():
                     return (i * n + j) * d + int(pivot)
     return -1
-
-
-NUMBA_ENABLED = False
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        _loop_min_violation = njit(cache=True)(_loop_min_violation)
-        _loop_sum_violation = njit(cache=True)(_loop_sum_violation)
-        _loop_lift_violation = njit(cache=True)(_loop_lift_violation)
-        NUMBA_ENABLED = True
-
-first_min_violation = _loop_min_violation if NUMBA_ENABLED else _np_min_violation
-first_sum_violation = _loop_sum_violation if NUMBA_ENABLED else _np_sum_violation
-first_lift_violation = _loop_lift_violation if NUMBA_ENABLED else _np_lift_violation

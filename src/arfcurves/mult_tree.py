@@ -14,7 +14,8 @@ import itertools
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, literal_int, literal_list
+from .errors import (DomainError, InputError, ValidationError, literal_int, literal_ints,
+                     literal_list)
 from .good_semigroup import (GoodSemigroup, is_arf_good, is_local,
                              plane_projection, projection, residue)
 from .numerical import MultiplicitySequence, decomposition_lengths, semigroup_to_seq
@@ -328,12 +329,15 @@ def tree_from_dict(data, validate=True):
     by_level = {}
     parsed = []
     for position, node in enumerate(literal_list(data["nodes"], "nodes")):
-        try:
-            level = int(node["level"])
-            vector = [int(x) for x in node["vector"]]
-            parent = node["parent"]
-        except (KeyError, TypeError, ValueError):
+        if not isinstance(node, dict):
+            raise InputError("node %d must be an object, got %r" % (position, node))
+        if not {"level", "vector", "parent"} <= node.keys():
             raise ValidationError("node %d needs level, vector and parent" % position)
+        level = literal_int(node["level"], "the level of node %d" % position)
+        vector = literal_ints(node["vector"], "the vector of node %d" % position)
+        parent = node["parent"]
+        if parent is not None:
+            parent = literal_int(parent, "the parent of node %d" % position)
         if len(vector) != d:
             raise ValidationError("node %d has a vector of dimension %d, expected %d"
                                   % (position, len(vector), d))
@@ -367,7 +371,7 @@ def tree_from_dict(data, validate=True):
             if parent is not None:
                 raise ValidationError("the root cannot have a parent")
             continue
-        if not isinstance(parent, int) or not 0 <= parent < len(parsed):
+        if parent is None or not 0 <= parent < len(parsed):
             raise ValidationError("node %d has an invalid parent index" % position)
         plevel, _, _, psupport = parsed[parent]
         if plevel != level - 1 or not set(support) <= set(psupport):

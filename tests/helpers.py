@@ -83,3 +83,48 @@ def enumerate_smallest_arf(V):
         if all(semi.contains(v) for v in vectors):
             best = tree if best is None else tree_intersection(best, tree)
     return tree_to_semigroup(best)
+
+
+def good_axioms_oracle(d, conductor, small):
+    """First violated good-semigroup axiom of (conductor, small), or None.
+
+    Brute force over Python sets under the cap rule
+    alpha in S  <=>  min(alpha, conductor) in small, scanning pairs of the
+    sorted members in the order is_good reports them.  Lifting witnesses are
+    searched over the box [0, conductor + 1], which holds one whenever any
+    exists, because capping a witness there keeps it a witness.
+    """
+    conductor = tuple(conductor)
+    small = sorted(set(map(tuple, small)))
+    members = set(small)
+
+    def member(alpha):
+        return tuple(min(a, c) for a, c in zip(alpha, conductor)) in members
+
+    if (0,) * d not in members:
+        return "0 must be a member"
+    if conductor not in members:
+        return "the conductor must be a member"
+    for v in small:
+        if any(x > c for x, c in zip(v, conductor)):
+            return "element %r lies outside the conductor box" % (list(v),)
+    for i, a in enumerate(small):
+        for b in small[i + 1:]:
+            if not member(tuple(map(min, a, b))):
+                return "property (1) fails: min(%r, %r) is missing" % (list(a), list(b))
+    for i, a in enumerate(small):
+        for b in small[i:]:
+            if not member(tuple(x + y for x, y in zip(a, b))):
+                return "not closed under addition: %r + %r is missing" % (list(a), list(b))
+    for i, a in enumerate(small):
+        for b in small[i + 1:]:
+            for pivot in range(d):
+                if a[pivot] != b[pivot]:
+                    continue
+                ranges = [range(a[c] + (c == pivot), conductor[c] + 2) if a[c] == b[c]
+                          else (min(a[c], b[c]),)
+                          for c in range(d)]
+                if not any(member(g) for g in itertools.product(*ranges)):
+                    return "property (2) fails at alpha=%r, beta=%r, coordinate %d" % (
+                        list(a), list(b), pivot + 1)
+    return None

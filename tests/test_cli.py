@@ -188,6 +188,12 @@ def test_exit_codes(capsys):
     assert run(capsys, "curve", "tree", '{"d":2,"generators":[["t","u"]]}')[0] == 1
     assert run(capsys, "unseq", '{"steps":[4,2]}')[0] == 2
     assert run(capsys, "curve", "values", CURVE_B, "--bound", "4;2")[0] == 2
+    huge = '{"d":2,"conductor":[100000,100000],"small_elements":[[0,0],[100000,100000]]}'
+    code = main(["check", huge])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -196,6 +202,10 @@ def test_exit_codes(capsys):
     ("unseq", '{"prefix":"abc"}'),
     ("seq", '{"generators":["a"]}'),
     ("curve", "tree", '{"d":1,"generators":[["t^2"],["t^3"]],"truncation":"x"}'),
+    ("tree", "to-semigroup", '{"d":1,"nodes":[5]}'),
+    ("tree", "to-semigroup", '{"d":1,"nodes":[{"level":"a","vector":[1],"parent":null}]}'),
+    ("tree", "to-semigroup", '{"d":1,"nodes":[{"level":1.5,"vector":[1],"parent":null}]}'),
+    ("tree", "to-semigroup", '{"d":1,"nodes":[{"level":0,"vector":[1],"parent":"x"}]}'),
 ])
 def test_mistyped_literals_exit_2(capsys, argv):
     code = main(list(argv))

@@ -1,8 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfcurves import kernels
 from arfcurves.errors import DomainError, ValidationError
 from arfcurves.good_semigroup import (
     GoodSemigroup,
@@ -16,8 +17,9 @@ from arfcurves.good_semigroup import (
     projection,
     residue,
 )
+from arfcurves.mult_tree import tree_to_semigroup
 from arfcurves.numerical import NumericalSemigroup, arf_closure, seq_to_semigroup
-from helpers import random_arf_sequence
+from helpers import good_axioms_oracle, random_arf_sequence, random_tree
 
 # Two branches: {(0,0),(4,2)} with the column (6,n) n>=4 and (8,4)+N^2.
 EX1 = GoodSemigroup(2, (8, 4), [(0, 0), (4, 2), (6, 4), (8, 4)])
@@ -166,24 +168,21 @@ def test_lifted_numerical_semigroups_satisfy_axioms(rng):
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_kernel_variants_agree(data):
+def test_grid_checks_match_brute_force_oracle(data):
     d = data.draw(st.integers(1, 3))
     dims = tuple(data.draw(st.integers(1, 4)) for _ in range(d))
-    cells = data.draw(st.lists(st.booleans(), min_size=int(np.prod(dims)),
-                               max_size=int(np.prod(dims))))
-    grid = np.array(cells, dtype=bool).reshape(dims)
-    grid[(0,) * d] = True
-    grid[tuple(s - 1 for s in dims)] = True
-    small = np.ascontiguousarray(np.argwhere(grid), dtype=np.int64)
-    flat = grid.reshape(-1)
-    strides = kernels.flat_strides(dims)
-    delta = np.array(dims, dtype=np.int64) - 1
-    assert (kernels._loop_min_violation(small, flat, strides)
-            == kernels._np_min_violation(small, flat, strides))
-    assert (kernels._loop_sum_violation(small, flat, strides, delta)
-            == kernels._np_sum_violation(small, flat, strides, delta))
-    ext = np.pad(grid, [(0, 1)] * d, mode="edge")
-    ext_dims = np.array(ext.shape, dtype=np.int64)
-    ext_strides = kernels.flat_strides(ext.shape)
-    assert (kernels._loop_lift_violation(small, ext.reshape(-1), ext_strides, ext_dims)
-            == kernels._np_lift_violation(small, ext.reshape(-1), ext_strides, ext_dims))
+    box = list(itertools.product(*(range(s) for s in dims)))
+    cells = data.draw(st.lists(st.booleans(), min_size=len(box), max_size=len(box)))
+    conductor = tuple(s - 1 for s in dims)
+    small = [v for v, keep in zip(box, cells)
+             if keep or v == (0,) * d or v == conductor]
+    expected = good_axioms_oracle(d, conductor, small)
+    assert is_good(d, conductor, small) == (expected is None, expected)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_oracle_accepts_tree_semigroups(rng):
+    S = tree_to_semigroup(random_tree(rng))
+    assert good_axioms_oracle(S.d, S.conductor, S.small_elements) is None
+    assert is_good(S.d, S.conductor, S.small_elements) == (True, None)
