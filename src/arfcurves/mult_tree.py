@@ -11,14 +11,15 @@ consecutive split levels between them.
 """
 
 import itertools
-
-import numpy as np
+from math import prod
 
 from .errors import (DomainError, InputError, ValidationError, literal_int, literal_ints,
                      literal_list)
-from .good_semigroup import (GoodSemigroup, is_arf_good, is_local,
-                             plane_projection, projection, residue)
+from .good_semigroup import GoodSemigroup, is_local, projection
 from .numerical import MultiplicitySequence, decomposition_lengths, semigroup_to_seq
+
+# Most small elements tree_to_semigroup enumerates before refusing a tree.
+MAX_TREE_MEMBERS = 2 ** 20
 
 
 class MultiplicityTree:
@@ -143,68 +144,67 @@ def validate_tree(candidate):
 def tree_to_semigroup(T):
     """Semigroup of sums over rooted subtrees of the tree.
 
-    A rooted subtree reaching depth m_j on branch j yields the member
-    (prefix_sum(m_j + 1))_j; the depth profile only needs to satisfy
-    m_j >= min(m_h, split(j,h)), since deeper glued neighbors re-enter the
-    branch-j path.  Depth profiles are enumerated through one level past
-    every split and every non-unit entry; members beyond follow the cap
-    rule of the box representation.
+    A rooted subtree of a glued group's level-i node holds that node and, per
+    child group at level i+1, nothing or a rooted subtree of that child.
+    Branch j is cut at D_j = max(len(prefix_j) - 1, splits[j-1], splits[j]),
+    past which it runs alone through unit vectors: the minimal conductor is
+    delta_j = prefix_sum_j(D_j + 1); over MAX_TREE_MEMBERS members are refused.
     """
     ok, message = validate_tree(T)
     if not ok:
         raise ValidationError(message)
-    d = T.d
-    deepest = max((len(seq.prefix) - 1 for seq in T.branches), default=-1)
-    M = max((max(T.splits, default=-1), deepest)) + 1
-    sums = [[seq.prefix_sum(n) for n in range(M + 2)] for seq in T.branches]
-    pair_split = [[T.pair_split(j, h) if j != h else 0 for h in range(d)]
-                  for j in range(d)]
-    grid = np.zeros(tuple(sums[j][M + 1] + 1 for j in range(d)), dtype=bool)
-    grid[(0,) * d] = True
-    for m in itertools.product(range(M + 1), repeat=d):
-        valid = True
-        for j in range(d):
-            mj = m[j]
-            for h in range(d):
-                if h != j and mj < min(m[h], pair_split[j][h]):
-                    valid = False
-                    break
-            if not valid:
-                break
-        if valid:
-            grid[tuple(sums[j][m[j] + 1] for j in range(d))] = True
-    return GoodSemigroup.from_member_grid(grid)
+    depth = [max([len(seq.prefix) - 1, *T.splits[max(j - 1, 0):j + 1]])
+             for j, seq in enumerate(T.branches)]
+    if max(depth) >= MAX_TREE_MEMBERS:
+        raise DomainError("a branch of depth %d has more than %d small elements"
+                          % (max(depth), MAX_TREE_MEMBERS))
+    sums = [list(itertools.accumulate((seq.entry(i) for i in range(D + 1)), initial=0))
+            for seq, D in zip(T.branches, depth)]
+
+    def subtrees(level, group):
+        # the group stays glued through level `last`, then parts into its children
+        last = depth[group[0]] if len(group) == 1 else min(T.splits[group[0]:group[-1]])
+        out = [tuple(sums[h][m + 1] - sums[h][level] for h in group)
+               for m in range(level, last + 1)]
+        if len(group) == 1:
+            return out
+        choices = [[(0,) * len(child)] + subtrees(last + 1, child)
+                   for child in T.groups(last + 1) if child[0] in group]
+        if prod(map(len, choices)) > MAX_TREE_MEMBERS:
+            raise DomainError("the tree semigroup has more than %d small elements"
+                              % MAX_TREE_MEMBERS)
+        stem = out.pop()
+        for parts in itertools.product(*choices):
+            out.append(tuple(a + b for a, b in zip(stem, itertools.chain(*parts))))
+        return out
+
+    return GoodSemigroup(T.d, tuple(s[D + 1] for s, D in zip(sums, depth)),
+                         [(0,) * T.d] + subtrees(0, range(T.d)), validate=False)
 
 
 def semigroup_to_tree(S):
     """Multiplicity tree of a local Arf semigroup; inverse of tree_to_semigroup.
 
-    Branch j carries the multiplicity sequence of the j-th projection;
-    consecutive branches stay glued at level k+1 while the residue of their
-    plane projection at the sum through level k is local.
+    Branch j carries the multiplicity sequence of the j-th projection.  The
+    split of branches j, j+1 is the first level l at which branches 1..j
+    reaching depth l+1 and branches j+1..d depth l sum to a member.  The tree
+    so read is returned only if its semigroup is S.
     """
     if not is_local(S):
         raise DomainError("only local semigroups have a multiplicity tree")
-    if not is_arf_good(S):
-        raise DomainError("the semigroup is not Arf; it has no multiplicity tree")
     branches = [semigroup_to_seq(projection(S, j + 1)) for j in range(S.d)]
     splits = []
     for j in range(S.d - 1):
-        plane = plane_projection(S, j + 1, j + 2)
         bound = (max(len(branches[j].prefix), len(branches[j + 1].prefix))
-                 + max(plane.conductor) + 2)
-        for level in range(bound + 1):
-            alpha = (branches[j].prefix_sum(level + 1),
-                     branches[j + 1].prefix_sum(level + 1))
-            if not plane.contains(alpha):
-                raise DomainError("not a tree semigroup: node sum %r of branches "
-                                  "%d, %d is missing" % (list(alpha), j + 1, j + 2))
-            if not is_local(residue(plane, alpha)):
-                splits.append(level)
-                break
-        else:
-            raise DomainError("branches %d and %d never split" % (j + 1, j + 2))
-    return MultiplicityTree(branches, splits)
+                 + max(S.conductor[j], S.conductor[j + 1]) + 2)
+        splits.append(next((level for level in range(bound + 1)
+                            if S.contains([seq.prefix_sum(level + 1 + (h <= j))
+                                           for h, seq in enumerate(branches)])), -1))
+    if -1 not in splits:
+        T = MultiplicityTree(branches, splits, validate=False)
+        if validate_tree(T)[0] and tree_to_semigroup(T) == S:
+            return T
+    raise DomainError("the semigroup is not Arf; it has no multiplicity tree")
 
 
 def node_path_sum(T, j, level):

@@ -2,7 +2,10 @@
 
 import itertools
 
+import numpy as np
+
 from arfcurves.errors import ValidationError
+from arfcurves.good_semigroup import GoodSemigroup
 from arfcurves.mult_tree import (MultiplicityTree, tree_intersection,
                                  tree_to_semigroup)
 from arfcurves.numerical import MultiplicitySequence, arf_closure, semigroup_to_seq
@@ -56,6 +59,29 @@ def random_tree(rng, d_max=3, max_len=4, max_entry=6, split_max=4):
             return MultiplicityTree(branches, splits)
         except ValidationError:
             continue
+
+
+def tree_semigroup_oracle(T):
+    """Semigroup of a valid tree from its depth profiles, on a dense grid.
+
+    A rooted subtree reaching depth m_j on branch j yields the member
+    (prefix_sum(m_j + 1))_j; the depth profile only needs to satisfy
+    m_j >= min(m_h, split(j,h)), since deeper glued neighbors re-enter the
+    branch-j path.  Every profile through one level past every split and
+    every non-unit entry is tried, the members are marked on a grid over
+    the box they span, and from_member_grid reads the minimal conductor.
+    """
+    d = T.d
+    deepest = max((len(seq.prefix) - 1 for seq in T.branches), default=-1)
+    M = max((max(T.splits, default=-1), deepest)) + 1
+    sums = [[seq.prefix_sum(n) for n in range(M + 2)] for seq in T.branches]
+    grid = np.zeros(tuple(sums[j][M + 1] + 1 for j in range(d)), dtype=bool)
+    grid[(0,) * d] = True
+    for m in itertools.product(range(M + 1), repeat=d):
+        if all(m[j] >= min(m[h], T.pair_split(j, h))
+               for j in range(d) for h in range(d) if h != j):
+            grid[tuple(sums[j][m[j] + 1] for j in range(d))] = True
+    return GoodSemigroup.from_member_grid(grid)
 
 
 def enumerate_smallest_arf(V):

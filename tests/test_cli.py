@@ -4,6 +4,7 @@ import json
 import pytest
 
 from arfcurves.cli import main
+from arfcurves.mult_tree import MultiplicityTree, tree_to_dict
 
 EX1 = '{"d":2,"conductor":[8,4],"small_elements":[[0,0],[4,2],[6,4],[8,4]]}'
 EX2 = '{"d":2,"conductor":[4,6],"small_elements":[[0,0],[2,3],[3,5],[4,6]]}'
@@ -190,6 +191,25 @@ def test_exit_codes(capsys):
     assert run(capsys, "curve", "values", CURVE_B, "--bound", "4;2")[0] == 2
     huge = '{"d":2,"conductor":[100000,100000],"small_elements":[[0,0],[100000,100000]]}'
     code = main(["check", huge])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_tree_to_semigroup_scales_with_members(capsys):
+    # a heavy root over two unit leaves: two small elements in a 10^10 box
+    heavy = json.dumps({"d": 2, "nodes": [
+        {"level": 0, "vector": [100000, 100000], "parent": None},
+        {"level": 1, "vector": [1, 0], "parent": 0},
+        {"level": 1, "vector": [0, 1], "parent": 0}]})
+    code, out = run(capsys, "tree", "to-semigroup", heavy)
+    assert code == 0
+    assert out == ('{"conductor":[100000,100000],"d":2,'
+                   '"small_elements":[[0,0],[100000,100000]]}\n')
+    # six branches of fifteen 2s parted at the root: 15**6 = 11,390,625 small elements
+    wide = json.dumps(tree_to_dict(MultiplicityTree([[2] * 15] * 6, splits=(0,) * 5)))
+    code = main(["tree", "to-semigroup", wide])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arfcurves.errors import DomainError, ValidationError
-from arfcurves.good_semigroup import GoodSemigroup, fine_multiplicity, is_arf_good, is_local
-from arfcurves.mult_tree import (MultiplicityTree, canonical_form, node_path_sum,
-                                 noether_sum, pinch, render_ascii, render_dot,
+from arfcurves.good_semigroup import (GoodSemigroup, fine_multiplicity, is_arf_good, is_good,
+                                      is_local)
+from arfcurves.mult_tree import (MAX_TREE_MEMBERS, MultiplicityTree, canonical_form,
+                                 node_path_sum, noether_sum, pinch, render_ascii, render_dot,
                                  semigroup_to_tree, split_profile, tree_from_dict,
                                  tree_intersection, tree_leq, tree_to_dict,
                                  tree_to_semigroup, validate_tree)
 from arfcurves.numerical import NumericalSemigroup
 
-from helpers import random_tree
+from helpers import random_tree, tree_semigroup_oracle
 
 # Two branches of multiplicity 2 glued one level past the root.
 T_PAIR = MultiplicityTree([[2], [2]], splits=(1,))
@@ -90,6 +91,64 @@ def test_semigroup_to_tree_requires_local_arf():
     not_arf = GoodSemigroup.from_numerical(NumericalSemigroup.from_generators([4, 6, 13]))
     with pytest.raises(DomainError, match="Arf"):
         semigroup_to_tree(not_arf)
+
+
+def test_tree_to_semigroup_matches_dense_oracle():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(300):
+        tree = random_tree(rng, d_max=5, max_len=3, max_entry=4, split_max=3)
+        seen.add(tree.d)
+        S, reference = tree_to_semigroup(tree), tree_semigroup_oracle(tree)
+        assert S.conductor == reference.conductor, tree
+        assert S.small_elements == reference.small_elements, tree
+    assert seen == {1, 2, 3, 4, 5}
+
+
+def test_tree_to_semigroup_refuses_oversized_output():
+    # 15 choices on each of six branches past the root: 15**6 > MAX_TREE_MEMBERS
+    wide = MultiplicityTree([[2] * 15] * 6, splits=(0,) * 5)
+    with pytest.raises(DomainError, match="small elements"):
+        tree_to_semigroup(wide)
+    with pytest.raises(DomainError, match="depth"):
+        tree_to_semigroup(MultiplicityTree([[1], [1]], splits=(MAX_TREE_MEMBERS,)))
+
+
+def test_semigroup_to_tree_verdict_on_mutations():
+    # Add or remove one member of a tree semigroup; among the mutants that are
+    # good and local, exactly the Arf ones have a tree, whose semigroup they are.
+    rng = random.Random(7)
+    verdicts = {True: 0, False: 0}
+    for _ in range(120):
+        S = tree_to_semigroup(random_tree(rng, d_max=3, max_len=3, max_entry=4,
+                                          split_max=2))
+        for v in itertools.product(*(range(c + 1) for c in S.conductor)):
+            if v in ((0,) * S.d, S.conductor):
+                continue
+            small = set(S.small_elements) ^ {v}
+            if not is_good(S.d, S.conductor, small)[0]:
+                continue
+            try:
+                mutant = GoodSemigroup(S.d, S.conductor, small)
+            except ValidationError:
+                continue
+            if not is_local(mutant):
+                continue
+            arf = is_arf_good(mutant)
+            verdicts[arf] += 1
+            if arf:
+                assert tree_to_semigroup(semigroup_to_tree(mutant)) == mutant
+            else:
+                with pytest.raises(DomainError, match="not Arf"):
+                    semigroup_to_tree(mutant)
+    assert min(verdicts.values()) >= 10, verdicts
+
+
+def test_semigroup_to_tree_round_trips_twelve_branches():
+    tree = MultiplicityTree([[1]] * 12, splits=(3, 0, 5, 1, 4, 2, 6, 0, 2, 7, 1))
+    S = tree_to_semigroup(tree)
+    assert len(S.small_elements) == 2593
+    assert semigroup_to_tree(S) == tree
 
 
 def test_node_path_sums():
