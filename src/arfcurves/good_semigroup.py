@@ -8,19 +8,19 @@ the box [0, delta]; membership of an arbitrary vector follows the rule
 
     alpha in S  <=>  min(alpha, delta) in small_elements.
 
-The rule is a representation convention, not one of the axioms.  Every
-internal constructor verifies it on an enclosing box before shrinking to
-the minimal conductor (from_member_grid), and is_good validates the axioms
-of user-supplied literals under it.
+The rule is a representation convention, not one of the axioms.  is_good
+checks the axioms under it on a numpy grid; only that check and
+from_member_grid load numpy.  Residues and projections are read off the
+members, and Arf-ness off the trees of the local factors (is_arf_good).
 """
 
-from math import prod
+import itertools
+from collections import Counter
+from math import inf, prod
+from operator import ge, le
 
-import numpy as np
-
-from . import kernels
 from .errors import DomainError, ValidationError, literal_int, literal_ints, literal_list
-from .numerical import NumericalSemigroup, semigroup_from_members
+from .numerical import NumericalSemigroup
 
 # Largest padded box [0, delta+1] the axiom checks will allocate (64 MiB of
 # booleans); a larger conductor is refused rather than exhausting memory.
@@ -38,6 +38,10 @@ def _as_vector(value, d):
 
 def _axiom_failure(d, conductor, small):
     """First violated good-semigroup axiom as a message, or None."""
+    import numpy as np
+
+    from . import kernels
+
     small_set = frozenset(small)
     zero = (0,) * d
     if zero not in small_set:
@@ -71,7 +75,6 @@ def _axiom_failure(d, conductor, small):
             list(small[i]), list(small[j]))
     ext = np.pad(grid, [(0, 1)] * d, mode="edge")
     code = kernels.first_lift_violation(arr, ext.reshape(-1),
-                                        kernels.flat_strides(ext.shape),
                                         np.array(ext.shape, dtype=np.int64))
     if code != -1:
         pair, pivot = divmod(int(code), d)
@@ -104,7 +107,7 @@ def is_good(d, conductor, small_elements):
 class GoodSemigroup:
     """Good subsemigroup of N^d: minimal conductor plus the members below it."""
 
-    __slots__ = ("d", "conductor", "small_elements", "_small_set", "_grid_cache")
+    __slots__ = ("d", "conductor", "small_elements", "_small_set")
 
     def __init__(self, d, conductor, small_elements, validate=True):
         self.d = int(d)
@@ -114,7 +117,6 @@ class GoodSemigroup:
         self.small_elements = tuple(sorted({_as_vector(v, self.d)
                                             for v in small_elements}))
         self._small_set = frozenset(self.small_elements)
-        self._grid_cache = None
         if validate:
             message = _axiom_failure(self.d, self.conductor, self.small_elements)
             if message is not None:
@@ -133,16 +135,6 @@ class GoodSemigroup:
         capped = tuple(min(x, c) for x, c in zip(vec, self.conductor))
         return capped in self._small_set
 
-    def grid(self):
-        """Membership grid over the box [0, conductor] (do not mutate)."""
-        if self._grid_cache is None:
-            g = np.zeros(tuple(c + 1 for c in self.conductor), dtype=bool)
-            arr = np.array(self.small_elements,
-                           dtype=np.int64).reshape(len(self.small_elements), self.d)
-            g[tuple(arr.T)] = True
-            self._grid_cache = g
-        return self._grid_cache
-
     @classmethod
     def natural_numbers(cls, d):
         return cls(d, (0,) * d, [(0,) * d], validate=False)
@@ -156,35 +148,25 @@ class GoodSemigroup:
         the componentwise minimal one and the cap rule is re-verified
         against the whole grid.
         """
+        import numpy as np
+
         grid = np.asarray(grid, dtype=bool)
-        d = grid.ndim
         corner = tuple(s - 1 for s in grid.shape)
         if not bool(grid[corner]):
             raise ValidationError("the box corner must be a member")
-        if not bool(grid[(0,) * d]):
+        if not bool(grid[(0,) * grid.ndim]):
             raise ValidationError("0 must be a member")
-        delta = list(corner)
-        for j in range(d):
-            while delta[j] > 0:
-                slab = tuple(delta[j] - 1 if c == j else slice(delta[c], None)
-                             for c in range(d))
-                if not bool(np.all(grid[slab])):
-                    break
-                delta[j] -= 1
-        capped = grid[np.ix_(*[np.minimum(np.arange(s), delta[c])
-                               for c, s in enumerate(grid.shape)])]
+        S = _boxed(corner, set(map(tuple, np.argwhere(grid).tolist())))
+        capped = grid[np.ix_(*[np.minimum(np.arange(s), c)
+                               for s, c in zip(grid.shape, S.conductor)])]
         if not bool(np.array_equal(grid, capped)):
             raise ValidationError("membership is not determined by the conductor box")
-        inner = grid[tuple(slice(0, delta[c] + 1) for c in range(d))]
-        small = [tuple(int(x) for x in v) for v in np.argwhere(inner)]
-        return cls(d, tuple(delta), small, validate=False)
+        return S
 
     @classmethod
     def from_numerical(cls, S):
-        members = list(S.small_elements)
-        if S.conductor > 0:
-            members.append(S.conductor)
-        return cls(1, (S.conductor,), [(m,) for m in members], validate=False)
+        return cls(1, (S.conductor,), [(m,) for m in (*S.small_elements, S.conductor)],
+                   validate=False)
 
     def to_numerical(self):
         if self.d != 1:
@@ -207,13 +189,19 @@ class GoodSemigroup:
             self.d, list(self.conductor), [list(v) for v in self.small_elements])
 
 
+def _local_factors(S):
+    """Coordinates of the local factors of S other than N: the j with
+    delta_j > 0, grouped by the set of small elements that vanish at j."""
+    factors = {}
+    for j, c in enumerate(S.conductor):
+        if c:
+            factors.setdefault(tuple(v[j] == 0 for v in S.small_elements), []).append(j)
+    return list(factors.values())
+
+
 def is_local(S):
     """True iff 0 is the only member with a zero coordinate."""
-    if S.d == 1:
-        return True
-    if any(c == 0 for c in S.conductor):
-        return False
-    return not any(0 in v for v in S.small_elements if any(v))
+    return S.d == 1 or _local_factors(S) == [list(range(S.d))]
 
 
 def fine_multiplicity(S):
@@ -229,32 +217,71 @@ def fine_multiplicity(S):
     return tuple(min(v[c] for v in nonzero) for c in range(S.d))
 
 
-def _residue_grid(S, alpha):
-    """Membership grid of S(alpha) - alpha over its box [0, max(delta-alpha, 0)]."""
-    kappa = tuple(max(c - a, 0) for c, a in zip(S.conductor, alpha))
-    axes = [np.minimum(a + np.arange(k + 1), c)
-            for a, c, k in zip(alpha, S.conductor, kappa)]
-    return S.grid()[np.ix_(*axes)]
+def _boxed(corner, members):
+    """The semigroup with these members in the box [0, corner], beyond which
+    the cap rule holds at corner.  Coordinate j of the conductor drops while
+    the slab below it, [delta_h, corner_h] in every other h, is all members.
+    """
+    delta = list(corner)
+    for j in range(len(delta)):
+        others = [h for h in range(len(delta)) if h != j]
+        full = prod(corner[h] - delta[h] + 1 for h in others)
+        counts = Counter(v[j] for v in members if all(v[h] >= delta[h] for h in others))
+        while delta[j] and counts[delta[j] - 1] == full:
+            delta[j] -= 1
+    return GoodSemigroup(len(delta), delta, [v for v in members if all(map(le, v, delta))],
+                         validate=False)
 
 
 def residue(S, alpha):
-    """The semigroup S(alpha) - alpha = {beta - alpha : beta in S, beta >= alpha}."""
+    """The semigroup S(alpha) - alpha = {beta - alpha : beta in S, beta >= alpha}.
+
+    By the cap rule its members in the box max(delta - alpha, 0) are the
+    max(v - alpha, 0) for the small elements v >= min(alpha, delta).
+    """
     alpha = _as_vector(alpha, S.d)
     if not S.contains(alpha):
         raise DomainError("cannot take the residue at a non-member %r" % (list(alpha),))
-    return GoodSemigroup.from_member_grid(_residue_grid(S, alpha))
+    floor = tuple(map(min, alpha, S.conductor))
+    return _boxed(tuple(max(c - a, 0) for c, a in zip(S.conductor, alpha)),
+                  {tuple(max(x - a, 0) for x, a in zip(v, alpha))
+                   for v in S.small_elements if all(map(ge, v, floor))})
+
+
+def _project(S, coords):
+    """The projection {(v_j for j in coords) : v in S}, in the order listed."""
+    return _boxed(tuple(S.conductor[j] for j in coords),
+                  {tuple(v[j] for j in coords) for v in S.small_elements})
+
+
+def _glued_order(S):
+    """Coordinates of a local Arf S, ordered so that the glued branch groups
+    of its tree are intervals: sorted on the rows of the matrix of the split
+    levels of the plane projections, each branch ahead of itself."""
+    from .mult_tree import semigroup_to_tree
+
+    split = {(j, h): semigroup_to_tree(_project(S, (j, h))).splits[0]
+             for j, h in itertools.combinations(range(S.d), 2)}
+    return sorted(range(S.d), key=lambda j: [-split[min(j, h), max(j, h)] if h != j
+                                             else -inf for h in range(S.d)])
 
 
 def is_arf_good(S):
-    """True iff residue(S, alpha) is closed under addition for every member."""
-    for alpha in S.small_elements:
-        grid = _residue_grid(S, alpha)
-        members = np.ascontiguousarray(np.argwhere(grid), dtype=np.int64)
-        code = kernels.first_sum_violation(members, grid.reshape(-1),
-                                           kernels.flat_strides(grid.shape),
-                                           np.array(grid.shape, np.int64) - 1)
-        if code != -1:
-            return False
+    """True iff residue(S, alpha) is closed under addition for every member.
+
+    S is the product of its local factors (Barucci, D'Anna, Froeberg 2000)
+    and a factor N, which is Arf, per coordinate with delta_j = 0.  Each
+    local factor is Arf iff semigroup_to_tree accepts it in glued order; its
+    size refusals pass through as DomainErrors.
+    """
+    from .mult_tree import semigroup_to_tree
+
+    try:
+        for coords in _local_factors(S):
+            local = _project(S, coords)
+            semigroup_to_tree(local if len(coords) < 3 else _project(local, _glued_order(local)))
+    except ValidationError:
+        return False
     return True
 
 
@@ -262,21 +289,17 @@ def projection(S, j):
     """The numerical semigroup of j-th coordinates of members (1 <= j <= d)."""
     if not 1 <= j <= S.d:
         raise DomainError("branch index %d out of range 1..%d" % (j, S.d))
-    coords = {v[j - 1] for v in S.small_elements}
-    return semigroup_from_members(coords, S.conductor[j - 1])
+    return _project(S, (j - 1,)).to_numerical()
 
 
 def plane_projection(S, j, h):
-    """The 2-dimensional projection of S on coordinates j != h (1-based)."""
+    """The projection {(v_j, v_h) : v in S} on coordinates j != h (1-based)."""
     for index in (j, h):
         if not 1 <= index <= S.d:
             raise DomainError("branch index %d out of range 1..%d" % (index, S.d))
     if j == h:
         raise DomainError("plane projection needs two distinct branch indices")
-    grid = np.zeros((S.conductor[j - 1] + 1, S.conductor[h - 1] + 1), dtype=bool)
-    for v in S.small_elements:
-        grid[v[j - 1], v[h - 1]] = True
-    return GoodSemigroup.from_member_grid(grid)
+    return _project(S, (j - 1, h - 1))
 
 
 def good_to_dict(S):

@@ -46,14 +46,13 @@ def first_sum_violation(small, grid, strides, delta):
     return -1
 
 
-def first_lift_violation(small, ext, ext_strides, ext_dims):
+def first_lift_violation(small, ext, ext_dims):
     """First (pair i < j, pivot) without a lifting witness, as (i * n + j) * d + pivot.
 
     Pair-lifting axiom: for members a != b agreeing at a pivot coordinate,
     some member must exceed both at the pivot, equal min(a, b) where they
     differ, and dominate them where they agree.  Witnesses are complete
-    inside the padded box, so each query is one slice of it; ext_strides is
-    unused here and kept for the shared calling convention.
+    inside the padded box, so each query is one slice of it.
     """
     n, d = small.shape
     ext_nd = ext.reshape(tuple(int(s) for s in ext_dims))

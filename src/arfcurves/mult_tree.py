@@ -204,7 +204,7 @@ def semigroup_to_tree(S):
         T = MultiplicityTree(branches, splits, validate=False)
         if validate_tree(T)[0] and tree_to_semigroup(T) == S:
             return T
-    raise DomainError("the semigroup is not Arf; it has no multiplicity tree")
+    raise ValidationError("the semigroup is not Arf; it has no multiplicity tree")
 
 
 def node_path_sum(T, j, level):

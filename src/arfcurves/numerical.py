@@ -7,9 +7,13 @@ eventually 1 and satisfies e_i = e_{i+1} + ... + e_{i+k_i} for a unique
 k_i >= 1 at every index.
 """
 
-from math import gcd
+from itertools import accumulate
+from math import gcd, inf
 
 from .errors import DomainError, ValidationError, literal_int, literal_ints
+
+# Largest conductor from_generators and arf_closure compute before refusing.
+MAX_CONDUCTOR = 2 ** 20
 
 
 class MultiplicitySequence:
@@ -110,37 +114,37 @@ class NumericalSemigroup:
 
     @classmethod
     def from_generators(cls, generators):
-        """The semigroup <G> generated by G; requires gcd(G) = 1."""
+        """The semigroup <G> generated by G; requires gcd(G) = 1.
+
+        The Apery set of m = min(G) comes from the round-robin algorithm of
+        Boecker and Liptak 2007 in O(|G| m) steps; its largest entry is the
+        conductor plus m - 1.  A conductor above MAX_CONDUCTOR is refused.
+        """
         gens = sorted({int(g) for g in generators})
         if not gens:
             raise DomainError("at least one generator is required")
         if gens[0] <= 0:
             raise DomainError("generators must be positive")
-        g = 0
-        for x in gens:
-            g = gcd(g, x)
+        g = gcd(*gens)
         if g != 1:
             raise DomainError("gcd of generators is %d, not 1; the complement would be infinite" % g)
-        if gens[0] == 1:
+        m = gens[0]
+        if m == 1:
             return cls.natural_numbers()
-        # Sylvester bound: the Frobenius number of a gcd-1 set is below
-        # (min-1)(max-1), so a sieve up to that length finds the conductor.
-        bound = (gens[0] - 1) * (gens[-1] - 1) + 1
-        member = [False] * (bound + 1)
-        member[0] = True
-        for n in range(1, bound + 1):
-            for x in gens:
-                if x > n:
-                    break
-                if member[n - x]:
-                    member[n] = True
-                    break
-        conductor = 0
-        for n in range(bound, -1, -1):
-            if not member[n]:
-                conductor = n + 1
-                break
-        small = [n for n in range(conductor) if member[n]]
+        if m > MAX_CONDUCTOR:
+            raise DomainError("the conductor exceeds the limit of %d" % MAX_CONDUCTOR)
+        apery = [0] + [inf] * (m - 1)
+        for b in gens[1:]:
+            step = gcd(m, b)
+            for r in range(step):
+                n = min(apery[r::step])
+                for _ in range(m // step - 1 if n < inf else 0):
+                    n = min(n + b, apery[(n + b) % m])
+                    apery[n % m] = n
+        conductor = max(apery) - m + 1
+        if conductor > MAX_CONDUCTOR:
+            raise DomainError("the conductor exceeds the limit of %d" % MAX_CONDUCTOR)
+        small = [n for n in range(conductor) if n >= apery[n % m]]
         return cls(conductor, small, validate=False)
 
     def __eq__(self, other):
@@ -158,36 +162,32 @@ class NumericalSemigroup:
 
 def seq_to_semigroup(seq):
     """The semigroup {0, e_0, e_0 + e_1, ...} of prefix sums of seq."""
-    sums = [seq.prefix_sum(n) for n in range(len(seq.prefix) + 1)]
-    conductor = sums[-1]
-    if conductor == 0:
-        return NumericalSemigroup.natural_numbers()
-    return NumericalSemigroup(conductor, sums[:-1], validate=False)
+    sums = list(accumulate(seq.prefix, initial=0))
+    return NumericalSemigroup(sums[-1], sums[:-1] or [0], validate=False)
 
 
 def semigroup_to_seq(S):
-    """Differences of consecutive members; requires S to be Arf."""
-    if not is_arf(S):
-        raise DomainError("semigroup is not Arf; its element differences are not a multiplicity sequence")
-    elems = list(S.small_elements)
-    if S.conductor > 0:
-        elems.append(S.conductor)
-    prefix = [b - a for a, b in zip(elems, elems[1:])]
-    return MultiplicitySequence(prefix)
+    """Differences of consecutive members of S and its conductor.
+
+    They form a multiplicity sequence, each e_i a sum of the entries right
+    after it, iff S is Arf (Lipman 1971, "Stable ideals and Arf rings");
+    otherwise ValidationError is raised.  The cost is linear in the conductor.
+    """
+    elems = S.small_elements + ((S.conductor,) if S.conductor else ())
+    try:
+        return MultiplicitySequence([b - a for a, b in zip(elems, elems[1:])])
+    except ValidationError:
+        raise ValidationError("semigroup is not Arf; its element differences are not "
+                              "a multiplicity sequence")
 
 
 def is_arf(S):
-    """True iff S(s) - s is closed under addition for every member s <= conductor."""
-    cond = S.conductor
-    for s in S.small_elements:
-        rel = [m - s for m in S.small_elements if m >= s]
-        relset = set(rel)
-        cut = cond - s
-        for i, a in enumerate(rel):
-            for b in rel[i:]:
-                t = a + b
-                if t < cut and t not in relset:
-                    return False
+    """True iff S(s) - s is closed under addition for every member s, that is,
+    iff semigroup_to_seq accepts S."""
+    try:
+        semigroup_to_seq(S)
+    except ValidationError:
+        return False
     return True
 
 
@@ -196,7 +196,8 @@ def arf_closure(generators):
 
     Uses the blowup recursion: strip the multiplicity e_0 = min(G \\ {0}),
     shift the rest down by e_0, re-adjoin e_0, and repeat until 1 appears.
-    The collected minima form the multiplicity sequence of the closure.
+    The collected minima form the multiplicity sequence of the closure, and
+    their sum is its conductor; a sum above MAX_CONDUCTOR is refused.
     """
     gens = {int(g) for g in generators}
     gens.discard(0)
@@ -204,16 +205,18 @@ def arf_closure(generators):
         raise DomainError("at least one positive generator is required")
     if min(gens) < 0:
         raise DomainError("generators must be positive")
-    g = 0
-    for x in gens:
-        g = gcd(g, x)
+    g = gcd(*gens)
     if g != 1:
         raise DomainError("gcd of generators is %d, not 1; the complement would be infinite" % g)
     prefix = []
+    conductor = 0
     current = gens
     while 1 not in current:
         e0 = min(current)
         prefix.append(e0)
+        conductor += e0
+        if conductor > MAX_CONDUCTOR:
+            raise DomainError("the conductor exceeds the limit of %d" % MAX_CONDUCTOR)
         current = {x - e0 for x in current if x > e0} | {e0}
     return seq_to_semigroup(MultiplicitySequence(prefix))
 
@@ -225,7 +228,6 @@ def decomposition_lengths(seq):
     Raises ValidationError naming the first index where no k exists.
     """
     ks = []
-    maxk = 1
     for i in range(len(seq.prefix)):
         target = seq.entry(i)
         total = 0
@@ -237,8 +239,7 @@ def decomposition_lengths(seq):
             raise ValidationError(
                 "invalid sequence: e_%d = %d is not a sum of consecutive successors" % (i, target))
         ks.append(k)
-        maxk = max(maxk, k)
-    M = len(seq.prefix) + maxk + 1
+    M = len(seq.prefix) + max(ks, default=1) + 1
     ks.extend([1] * (M + 1 - len(ks)))
     return ks
 
@@ -251,16 +252,9 @@ def restriction_numbers(seq):
 
 def characters_of_seq(seq):
     """Arf characters read off a multiplicity sequence: prefix sums e_0 + ... + e_j
-    at the indices j where r(e_j) < r(e_{j+1})."""
-    ks = decomposition_lengths(seq)
-    M = len(ks) - 1
-    ks.append(1)
-
-    def r(j):
-        return sum(1 for i in range(j) if i + ks[i] >= j)
-
-    rs = [r(j) for j in range(M + 2)]
-    return tuple(seq.prefix_sum(j + 1) for j in range(M + 1) if rs[j] < rs[j + 1])
+    at the indices j where r(e_j) < r(e_{j+1}); r is 1 on the last two indices."""
+    rs = restriction_numbers(seq)
+    return tuple(seq.prefix_sum(j + 1) for j in range(len(rs) - 1) if rs[j] < rs[j + 1])
 
 
 def arf_characters(S):
@@ -281,23 +275,6 @@ def blowup_chain(S):
     seq = semigroup_to_seq(S)
     return [seq_to_semigroup(MultiplicitySequence(seq.prefix[i:], validate=False))
             for i in range(len(seq.prefix) + 1)]
-
-
-def semigroup_from_members(members, conductor_bound):
-    """Canonical semigroup from its member set below a known conductor bound.
-
-    members must list every member <= conductor_bound, and conductor_bound
-    itself must be a (not necessarily minimal) conductor.  The bound is
-    lowered to the minimal conductor before construction.
-    """
-    mem = {int(m) for m in members}
-    c = int(conductor_bound)
-    mem.add(c)
-    while c > 0 and (c - 1) in mem:
-        c -= 1
-    if c == 0:
-        return NumericalSemigroup.natural_numbers()
-    return NumericalSemigroup(c, sorted(m for m in mem if m < c))
 
 
 def semigroup_to_dict(S):

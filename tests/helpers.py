@@ -8,7 +8,8 @@ from arfcurves.errors import ValidationError
 from arfcurves.good_semigroup import GoodSemigroup
 from arfcurves.mult_tree import (MultiplicityTree, tree_intersection,
                                  tree_to_semigroup)
-from arfcurves.numerical import MultiplicitySequence, arf_closure, semigroup_to_seq
+from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_closure,
+                                 semigroup_to_seq)
 
 
 def xyz_closure_oracle(generators):
@@ -34,6 +35,63 @@ def xyz_closure_oracle(generators):
                         member[t] = True
                         changed = True
     return [n for n in range(top + 1) if member[n]]
+
+
+def numerical_semigroups(max_conductor):
+    """Every numerical semigroup with conductor <= max_conductor.
+
+    Walks the tree of numerical semigroups: the children of S are the S \\ {g}
+    for the minimal generators g of S at or above its conductor.
+    """
+    out, todo = [], [(0, {0})]
+    while todo:
+        c, small = todo.pop()
+        out.append(NumericalSemigroup(c, small, validate=False))
+
+        def member(x):
+            return x >= c or x in small
+
+        for g in range(max(c, 1), max_conductor):
+            if not any(member(a) and member(g - a) for a in range(1, g)):
+                todo.append((g + 1, small | set(range(c, g))))
+    return out
+
+
+def arf_pairwise_oracle(S):
+    """True iff S(s) - s is closed under addition below c - s for every small
+    element s of a numerical semigroup with conductor c, pair by pair."""
+    for s in S.small_elements:
+        rel = [m - s for m in S.small_elements if m >= s]
+        relset = set(rel)
+        for i, a in enumerate(rel):
+            for b in rel[i:]:
+                if a + b < S.conductor - s and a + b not in relset:
+                    return False
+    return True
+
+
+def arf_good_oracle(S):
+    """True iff S(alpha) - alpha is closed under addition for every small element.
+
+    Brute force over Python sets under the cap rule
+    alpha in S  <=>  min(alpha, conductor) in small: the members of the
+    residue are the cells gamma of the box [0, max(conductor - alpha, 0)]
+    with alpha + gamma in S, and every sum of two of them is tested.
+    """
+    small = set(S.small_elements)
+
+    def member(v):
+        return tuple(map(min, v, S.conductor)) in small
+
+    for alpha in S.small_elements:
+        box = [range(max(c - a, 0) + 1) for c, a in zip(S.conductor, alpha)]
+        res = [g for g in itertools.product(*box)
+               if member([a + x for a, x in zip(alpha, g)])]
+        for i, g in enumerate(res):
+            for h in res[i:]:
+                if not member([a + x + y for a, x, y in zip(alpha, g, h)]):
+                    return False
+    return True
 
 
 def random_arf_sequence(rng, max_len=5, max_entry=9):

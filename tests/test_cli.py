@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import arfcurves
 from arfcurves.cli import main
 from arfcurves.mult_tree import MultiplicityTree, tree_to_dict
 
@@ -62,6 +66,52 @@ def test_check_reports_status(capsys):
     assert report["is_good"] is False
     assert report["is_local"] is None and report["is_arf"] is None
     assert report["reason"]
+
+
+def test_check_natural_numbers_squared(capsys):
+    code, out = run(capsys, "check", '{"d":2,"conductor":[0,0],"small_elements":[[0,0]]}')
+    assert code == 0
+    assert out == '{"is_arf":true,"is_good":true,"is_local":false,"reason":null}\n'
+
+
+def test_tree_from_even_numerical_semigroup(capsys):
+    # conductor 1600 with the 801 even members: the Arf test must not be cubic
+    literal = json.dumps({"d": 1, "conductor": [1600],
+                          "small_elements": [[m] for m in range(0, 1601, 2)]})
+    code, out = run(capsys, "tree", "from-semigroup", literal)
+    assert code == 0
+    tree = json.loads(out)
+    assert tree["stable_level"] == 800
+    assert [node["vector"] for node in tree["nodes"]] == [[2]] * 800 + [[1]]
+    assert out.endswith(',"stable_level":800}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ("closure", "2", "1000000001"),
+    ("seq", '{"generators":[2,1000000001]}'),
+    ("characters", '{"generators":[1048577,1048578]}'),
+])
+def test_oversized_generators_are_refused(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "limit" in captured.err and "Traceback" not in captured.err
+
+
+def test_huge_generator_with_small_conductor(capsys):
+    code, out = run(capsys, "seq", '{"generators":[2,3,1000000000]}')
+    assert code == 0
+    assert out == '{"prefix":[2]}\n'
+
+
+def test_cli_import_loads_no_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arfcurves.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    subprocess.run([sys.executable, "-c",
+                    "import arfcurves.cli, sys; assert 'numpy' not in sys.modules"],
+                   env=env, check=True)
 
 
 def test_tree_semigroup_round_trip(capsys):

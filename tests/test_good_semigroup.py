@@ -17,9 +17,9 @@ from arfcurves.good_semigroup import (
     projection,
     residue,
 )
-from arfcurves.mult_tree import tree_to_semigroup
+from arfcurves.mult_tree import MultiplicityTree, tree_to_semigroup
 from arfcurves.numerical import NumericalSemigroup, arf_closure, seq_to_semigroup
-from helpers import good_axioms_oracle, random_arf_sequence, random_tree
+from helpers import arf_good_oracle, good_axioms_oracle, random_arf_sequence, random_tree
 
 # Two branches: {(0,0),(4,2)} with the column (6,n) n>=4 and (8,4)+N^2.
 EX1 = GoodSemigroup(2, (8, 4), [(0, 0), (4, 2), (6, 4), (8, 4)])
@@ -106,6 +106,76 @@ def test_is_arf_good_examples():
     not_arf = GoodSemigroup.from_numerical(NumericalSemigroup.from_generators([4, 6, 13]))
     assert not is_arf_good(not_arf)
     assert is_arf_good(GoodSemigroup.from_numerical(arf_closure([4, 6, 13])))
+
+
+def product(*factors):
+    """Direct product of good semigroups, coordinates in factor order."""
+    S = factors[0]
+    for F in factors[1:]:
+        S = GoodSemigroup(S.d + F.d, S.conductor + F.conductor,
+                          [a + b for a in S.small_elements for b in F.small_elements])
+    return S
+
+
+def permuted(S, perm):
+    return GoodSemigroup(S.d, [S.conductor[i] for i in perm],
+                         [tuple(v[i] for i in perm) for v in S.small_elements])
+
+
+def test_is_arf_good_on_products_and_permutations():
+    N1 = GoodSemigroup.natural_numbers(1)
+    arf = GoodSemigroup.from_numerical(arf_closure([4, 6, 13]))
+    gens = NumericalSemigroup.from_generators([4, 6, 13])
+    not_arf = GoodSemigroup.from_numerical(gens)
+    # <4,6,13> on the diagonal: good and local, but not Arf
+    diagonal = GoodSemigroup(2, (16, 16), [(s, s) for s in gens.small_elements] + [(16, 16)])
+    # branches 1 and 2 glued through level 3, branch 3 apart from the root:
+    # in the order 1, 3, 2 the glued pair is not an interval
+    tree = tree_to_semigroup(MultiplicityTree([[2], [2], [3]], splits=(3, 0)))
+    cases = [
+        (N2, True),
+        (product(N1, arf), True),
+        (product(arf, N1, EX1), True),
+        (product(N1, not_arf), False),
+        (product(EX1, not_arf), False),
+        (product(N1, diagonal), False),
+        (permuted(tree, (0, 2, 1)), True),
+        (permuted(tree, (2, 0, 1)), True),
+        (permuted(product(tree, N1), (1, 3, 2, 0)), True),
+        (permuted(product(diagonal, EX1), (3, 0, 2, 1)), False),
+    ]
+    for S, expected in cases:
+        assert arf_good_oracle(S) is expected
+        assert is_arf_good(S) is expected
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_is_arf_good_matches_oracle_in_any_branch_order(rng):
+    S = tree_to_semigroup(random_tree(rng, d_max=4, max_len=3, max_entry=4, split_max=3))
+    perm = list(range(S.d))
+    rng.shuffle(perm)
+    S = permuted(S, perm)
+    assert arf_good_oracle(S)
+    assert is_arf_good(S)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_residues_and_plane_projections_match_grids(rng):
+    # the box of each residue, marked cell by cell, against the member-set path
+    S = tree_to_semigroup(random_tree(rng, d_max=3, max_len=3, max_entry=4))
+    for alpha in S.small_elements:
+        kappa = [max(c - a, 0) for c, a in zip(S.conductor, alpha)]
+        grid = np.zeros([k + 1 for k in kappa], dtype=bool)
+        for g in itertools.product(*(range(k + 1) for k in kappa)):
+            grid[g] = S.contains([a + x for a, x in zip(alpha, g)])
+        assert residue(S, alpha) == GoodSemigroup.from_member_grid(grid)
+    for j, h in itertools.permutations(range(1, S.d + 1), 2):
+        grid = np.zeros((S.conductor[j - 1] + 1, S.conductor[h - 1] + 1), dtype=bool)
+        for v in S.small_elements:
+            grid[v[j - 1], v[h - 1]] = True
+        assert plane_projection(S, j, h) == GoodSemigroup.from_member_grid(grid)
 
 
 def test_projection_examples():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,8 @@ from arfcurves.numerical import (
     seq_to_semigroup,
 )
 
-from helpers import random_arf_sequence, xyz_closure_oracle
+from helpers import (arf_pairwise_oracle, numerical_semigroups, random_arf_sequence,
+                     xyz_closure_oracle)
 
 N = NumericalSemigroup.natural_numbers()
 
@@ -62,6 +65,58 @@ def test_is_arf_examples():
     assert not is_arf(NumericalSemigroup.from_generators([4, 6, 13]))
     assert is_arf(N)
     assert is_arf(S(8, [0, 4, 6]))
+
+
+def test_is_arf_matches_pairwise_oracle():
+    semigroups = numerical_semigroups(16)
+    assert len(semigroups) == 580
+    verdicts = [is_arf(T) for T in semigroups]
+    assert verdicts == [arf_pairwise_oracle(T) for T in semigroups]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_semigroup_to_seq_is_linear():
+    # a pairwise Arf check would need hours on this semigroup
+    even = NumericalSemigroup(20000, range(0, 20000, 2), validate=False)
+    start = time.perf_counter()
+    assert semigroup_to_seq(even).prefix == (2,) * 10000
+    assert time.perf_counter() - start < 2.0
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_from_generators_matches_sieve(gens):
+    from math import gcd
+    g = 0
+    for x in gens:
+        g = gcd(g, x)
+    if g != 1:
+        with pytest.raises(DomainError):
+            NumericalSemigroup.from_generators(gens)
+        return
+    # the Frobenius number of a gcd-1 set lies below (min - 1)(max - 1)
+    top = (min(gens) - 1) * (max(gens) - 1) + 1
+    member = [True] + [False] * top
+    for n in range(1, top + 1):
+        member[n] = any(x <= n and member[n - x] for x in gens)
+    got = NumericalSemigroup.from_generators(gens)
+    assert got.elements_up_to(top) == [n for n in range(top + 1) if member[n]]
+    assert got.conductor == 0 or not member[got.conductor - 1]
+
+
+def test_from_generators_with_a_huge_generator():
+    start = time.perf_counter()
+    assert NumericalSemigroup.from_generators([2, 3, 10 ** 9]) == S(2, [0])
+    assert time.perf_counter() - start < 0.5
+
+
+def test_oversized_conductors_are_refused():
+    with pytest.raises(DomainError, match="limit"):
+        NumericalSemigroup.from_generators([2, 10 ** 9 + 1])
+    with pytest.raises(DomainError, match="limit"):
+        NumericalSemigroup.from_generators([2 ** 20 + 1, 2 ** 20 + 2])
+    with pytest.raises(DomainError, match="limit"):
+        arf_closure([2, 10 ** 9 + 1])
 
 
 def test_arf_closure_examples():
