@@ -11,7 +11,8 @@ computed by saturating a finite basis of elements indexed by their values
 capped at a bound box.  Within the box [0, bound], a component order above
 bound_j and an identically zero component carry the same information, so
 both are stored as the sentinel bound_j + 1; keys that are sentinels in
-every component are discarded.
+every component are discarded.  Terms of degree above bound_j never reach
+such a key, so every saturation runs on generators cut to bound + 1.
 
 The saturation closes the basis under products, under pairwise sums
 f + lambda*g (which realize componentwise minima), and under leading-term
@@ -22,8 +23,10 @@ cancellation, for example v(t^6+t^7) = 6 and v((t^6+t^7)^2 - (t^4)^3) = 13.
 Blowing up divides the maximal ideal by an element of minimal value, and
 iterated blowups assemble the multiplicity tree: at each level every still
 glued group of branches contributes its fine multiplicity vector as a node,
-and a group splits when the blown-up algebra restricted to a pair of
-branches stops being local.  Two curves are equivalent exactly when their
+and a group splits into the local components of its blowup.  One basis,
+saturated at the fine multiplicity bound, decides both locality and the
+components: two branches are glued exactly when every basis element is a
+unit on both or on neither.  Two curves are equivalent exactly when their
 multiplicity trees agree up to branch renumbering.
 
 Every computation is exact below the truncation order and fails loudly
@@ -33,8 +36,7 @@ Every computation is exact below the truncation order and fails loudly
 from .errors import (DomainError, InputError, TruncationError, ValidationError,
                      literal_int, literal_list)
 from .mult_tree import MultiplicityTree, canonical_form, tree_to_semigroup
-from .numerical import MultiplicitySequence
-from .series import SeriesTuple, TruncatedSeries, parse_series, valuation
+from .series import SeriesTuple, TruncatedSeries, parse_series
 
 DEFAULT_TRUNCATION = 64
 
@@ -137,18 +139,16 @@ def _cut(element, bound):
     )
 
 
-def _saturate(algebra, bound, cut=False):
+def _saturate(algebra, bound):
     """Value-indexed basis of the algebra, complete within [0, bound].
 
-    With `cut`, the generators are first cut to bound+1 (see `_cut`): the
-    keys are the same, the elements are not fit for division.
+    The generators are first cut to bound+1 (see `_cut`), so the cost does
+    not grow with the truncation order; the basis elements only serve
+    their keys and are not fit for division.
     """
-    cached = algebra._cache.get((bound, cut))
+    cached = algebra._cache.get(bound)
     if cached is not None:
         return cached
-    generators = algebra.generators
-    if cut:
-        generators = [_cut(g, bound) for g in generators]
     d = algebra.d
     big = tuple(b + 1 for b in bound)
     zero_key = (0,) * d
@@ -176,8 +176,8 @@ def _saturate(algebra, bound, cut=False):
             element = element - existing.scale(mu)
 
     insert(SeriesTuple.constant(1, d))
-    for g in generators:
-        insert(g)
+    for g in algebra.generators:
+        insert(_cut(g, bound))
 
     processed = set()
     grew = True
@@ -209,7 +209,7 @@ def _saturate(algebra, bound, cut=False):
                         )
                         grew |= insert(f1 - f2.scale(mu))
 
-    algebra._cache[(bound, cut)] = basis
+    algebra._cache[bound] = basis
     return basis
 
 
@@ -228,27 +228,33 @@ def _fm_bound(algebra):
     return tuple(bound)
 
 
-def _local_witness(basis):
-    """A basis key proving non-locality: zero in one component, not in all."""
-    for key in sorted(basis):
-        if any(key) and min(key) == 0:
-            return key
-    return None
+def _partition(algebra):
+    """Group the branches into the local components of the algebra.
+
+    A complete semilocal algebra is the product of its local components,
+    so a unit on one branch of a component is a unit on all of it, and the
+    idempotent of a component is a unit there and vanishes elsewhere.  The
+    branches of a component are therefore those on which the same basis
+    elements are units.  Those keys lie inside [0, fm_bound], so one
+    saturation at fm_bound decides them.  Groups are ordered by first
+    member, members by index.
+    """
+    basis = _saturate(algebra, _fm_bound(algebra))
+    groups = {}
+    for j in range(algebra.d):
+        groups.setdefault(tuple(key[j] == 0 for key in basis), []).append(j)
+    return list(groups.values())
 
 
 def is_local_ring(algebra):
-    """True when the nonunits form an ideal.
+    """True when the nonunits form an ideal: the algebra is one local component.
 
-    The algebra fails to be local exactly when it contains an element that
-    is a unit in some components and a nonunit in others; after constants
-    are normalized away, such an element shows up in the saturated basis as
-    a key with a zero coordinate next to a nonzero one.
-
-    The test reads only keys inside [0, fm_bound], and terms of degree
-    above fm_bound_j never reach such a key, so it saturates generators cut
-    to fm_bound+1: its cost does not grow with the truncation order.
+    After constants are normalized away, a non-local algebra contains an
+    element that is a unit in some components and a nonunit in others; its
+    key has a zero coordinate next to a nonzero one, and `_partition`
+    separates those branches.
     """
-    return _local_witness(_saturate(algebra, _fm_bound(algebra), cut=True)) is None
+    return len(_partition(algebra)) == 1
 
 
 def value_set(algebra, bound):
@@ -273,17 +279,24 @@ def value_set(algebra, bound):
 
 
 def blowup(algebra):
-    """The algebra of the maximal ideal divided by an element of minimal value."""
-    bound = _fm_bound(algebra)
-    basis = _saturate(algebra, bound)
-    if _local_witness(basis) is not None:
+    """The algebra of the maximal ideal divided by an element x of minimal value.
+
+    x is the first generator of value fm_bound, or else the generators
+    folded into one by sums x + lambda*g, lambda in 1..d+1, each keeping the
+    componentwise minimum of the values: some lambda in that range cancels
+    no leading term where the orders agree.  A generator is preferred
+    because a folded x is dense and slows every division by it.
+    """
+    if not is_local_ring(algebra):
         raise DomainError("blowup requires a local algebra; blow up its local pieces instead")
-    x = basis.get(bound)
+    bound = _fm_bound(algebra)
+    x = next((g for g in algebra.generators if _capped_key(g, bound) == bound), None)
     if x is None:
-        raise DomainError(
-            "no element of minimal value %r was found; the presentation is degenerate"
-            % (list(bound),)
-        )
+        x = algebra.generators[0]
+        for g in algebra.generators[1:]:
+            target = tuple(map(min, _capped_key(x, bound), _capped_key(g, bound)))
+            x = next(s for s in (x + g.scale(lam) for lam in range(1, algebra.d + 2))
+                     if _capped_key(s, bound) == target)
     return LocalAlgebra([x] + [g / x for g in algebra.generators], validate=False)
 
 
@@ -294,19 +307,7 @@ def branch_multiplicity_sequence(algebra):
             "multiplicity sequences belong to one-branch curves; got %d branches"
             % algebra.d
         )
-    prefix = []
-    current = algebra
-    for _ in range(algebra.truncation_order + 2):
-        multiplicity = _fm_bound(current)[0]
-        if multiplicity == 1:
-            return MultiplicitySequence(prefix)
-        prefix.append(multiplicity)
-        current = blowup(current)
-    raise TruncationError(
-        "the multiplicity sequence does not reach 1 within the truncation order; "
-        "the branch has infinite index in its normalization or the truncation "
-        "order is too small"
-    )
+    return multiplicity_tree_of_curve(algebra).branches[0]
 
 
 def _restricted(algebra, positions):
@@ -314,41 +315,16 @@ def _restricted(algebra, positions):
     return LocalAlgebra(gens, validate=False)
 
 
-def _partition(algebra):
-    """Group the branches into the local components of the algebra.
-
-    Branch pairs whose restricted algebra is local stay glued; gluedness is
-    transitive, so the groups are the classes of that relation.  Groups are
-    ordered by first member, members by index.
-    """
-    d = algebra.d
-    parent = list(range(d))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(d):
-        for b in range(a + 1, d):
-            if find(a) != find(b) and is_local_ring(_restricted(algebra, [a, b])):
-                parent[find(b)] = find(a)
-
-    groups = {}
-    for a in range(d):
-        groups.setdefault(find(a), []).append(a)
-    return [groups[root] for root in sorted(groups, key=lambda r: groups[r][0])]
-
-
 def multiplicity_tree_of_curve(algebra):
     """Multiplicity tree of the blowup sequence of a local curve.
 
     Level i holds one node per group of branches still glued in the i-th
     blowup, labelled by the fine multiplicity vector of that component.
-    Branches keep their input order as long as every split cuts them into
-    consecutive blocks (true for all trees this package serializes);
-    otherwise they are listed in separation order.
+    Each group is blown up until it parts into local components, and each
+    component is grown on in turn.  Branches keep their input order as
+    long as every split cuts them into consecutive blocks (true for all
+    trees this package serializes); otherwise they are listed in
+    separation order.
     """
     if not is_local_ring(algebra):
         raise DomainError("the curve is not local; only local curves have a multiplicity tree")
@@ -360,52 +336,44 @@ def multiplicity_tree_of_curve(algebra):
                     "they fail to separate in every blowup; no larger truncation of "
                     "these literals separates them" % (a + 1, b + 1)
                 )
-    # slots: still-glued branch groups in output order, with their algebras;
-    # boundaries[i] is the level at which slots i and i+1 separated
-    slots = [{"alg": algebra, "branches": list(range(algebra.d)), "active": True}]
-    boundaries = []
+    if algebra.d == 1:
+        exhausted = ("the multiplicity sequence does not reach 1 within the truncation "
+                     "order; the branch has infinite index in its normalization or the "
+                     "truncation order is too small")
+    else:
+        exhausted = ("the branches fail to separate and stabilize within the truncation "
+                     "order; rerun with a larger truncation order")
     entries = [[] for _ in range(algebra.d)]
     max_levels = algebra.truncation_order + 2
-    for level in range(max_levels):
-        for slot in slots:
-            if not slot["active"]:
-                continue
-            fm = _fm_bound(slot["alg"])
-            for position, branch in enumerate(slot["branches"]):
-                entries[branch].append(fm[position])
-            if len(slot["branches"]) == 1 and fm == (1,):
-                slot["active"] = False
-        if not any(slot["active"] for slot in slots):
-            break
-        next_slots = []
-        next_boundaries = []
-        for index, slot in enumerate(slots):
-            if index:
-                next_boundaries.append(boundaries[index - 1])
-            if not slot["active"]:
-                next_slots.append(slot)
-                continue
-            blown = blowup(slot["alg"])
-            parts = _partition(blown) if len(slot["branches"]) > 1 else [[0]]
-            for part_index, part in enumerate(parts):
-                if part_index:
-                    next_boundaries.append(level)
-                next_slots.append(
-                    {
-                        "alg": _restricted(blown, part) if len(parts) > 1 else blown,
-                        "branches": [slot["branches"][p] for p in part],
-                        "active": True,
-                    }
-                )
-        slots = next_slots
-        boundaries = next_boundaries
-    else:
-        raise TruncationError(
-            "the branches fail to separate and stabilize within the truncation "
-            "order; rerun with a larger truncation order"
-        )
-    order = [branch for slot in slots for branch in slot["branches"]]
-    return MultiplicityTree([entries[branch] for branch in order], boundaries)
+
+    def grow(current, branches, level):
+        """Record the nodes of a glued group from `level` on; return its
+        branches in output order and the split levels between them."""
+        while True:
+            if level == max_levels:
+                raise TruncationError(exhausted)
+            fm = _fm_bound(current)
+            for branch, multiplicity in zip(branches, fm):
+                entries[branch].append(multiplicity)
+            if fm == (1,):
+                return branches, []
+            current = blowup(current)
+            parts = _partition(current) if len(branches) > 1 else [[0]]
+            level += 1
+            if len(parts) > 1:
+                break
+        order, splits = [], []
+        for part in parts:
+            if order:
+                splits.append(level - 1)
+            part_order, part_splits = grow(_restricted(current, part),
+                                           [branches[p] for p in part], level)
+            order += part_order
+            splits += part_splits
+        return order, splits
+
+    order, splits = grow(algebra, list(range(algebra.d)), 0)
+    return MultiplicityTree([entries[branch] for branch in order], splits)
 
 
 def curves_equivalent(first, second):

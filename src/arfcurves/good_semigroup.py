@@ -73,6 +73,9 @@ def _axiom_failure(d, conductor, small):
         i, j = divmod(int(code), n)
         return "not closed under addition: %r + %r is missing" % (
             list(small[i]), list(small[j]))
+    if d == 1:
+        # distinct members of N never agree at a coordinate: nothing to lift
+        return None
     ext = np.pad(grid, [(0, 1)] * d, mode="edge")
     code = kernels.first_lift_violation(arr, ext.reshape(-1),
                                         np.array(ext.shape, dtype=np.int64))
@@ -271,15 +274,17 @@ def is_arf_good(S):
 
     S is the product of its local factors (Barucci, D'Anna, Froeberg 2000)
     and a factor N, which is Arf, per coordinate with delta_j = 0.  Each
-    local factor is Arf iff semigroup_to_tree accepts it in glued order; its
-    size refusals pass through as DomainErrors.
+    local factor is Arf iff its tree reads off it in glued order; the size
+    refusals of that reading pass through as DomainErrors.
     """
-    from .mult_tree import semigroup_to_tree
+    from .mult_tree import _read_tree
 
     try:
         for coords in _local_factors(S):
             local = _project(S, coords)
-            semigroup_to_tree(local if len(coords) < 3 else _project(local, _glued_order(local)))
+            if _read_tree(local if len(coords) < 3
+                          else _project(local, _glued_order(local))) is None:
+                return False
     except ValidationError:
         return False
     return True

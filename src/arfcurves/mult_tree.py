@@ -15,7 +15,7 @@ from math import prod
 
 from .errors import (DomainError, InputError, ValidationError, literal_int, literal_ints,
                      literal_list)
-from .good_semigroup import GoodSemigroup, is_local, projection
+from .good_semigroup import GoodSemigroup, _glued_order, _project, is_local, projection
 from .numerical import MultiplicitySequence, decomposition_lengths, semigroup_to_seq
 
 # Most small elements tree_to_semigroup enumerates before refusing a tree.
@@ -182,16 +182,14 @@ def tree_to_semigroup(T):
                          [(0,) * T.d] + subtrees(0, range(T.d)), validate=False)
 
 
-def semigroup_to_tree(S):
-    """Multiplicity tree of a local Arf semigroup; inverse of tree_to_semigroup.
+def _read_tree(S):
+    """The tree of a local S read in its coordinate order, or None.
 
     Branch j carries the multiplicity sequence of the j-th projection.  The
     split of branches j, j+1 is the first level l at which branches 1..j
     reaching depth l+1 and branches j+1..d depth l sum to a member.  The tree
     so read is returned only if its semigroup is S.
     """
-    if not is_local(S):
-        raise DomainError("only local semigroups have a multiplicity tree")
     branches = [semigroup_to_seq(projection(S, j + 1)) for j in range(S.d)]
     splits = []
     for j in range(S.d - 1):
@@ -204,6 +202,28 @@ def semigroup_to_tree(S):
         T = MultiplicityTree(branches, splits, validate=False)
         if validate_tree(T)[0] and tree_to_semigroup(T) == S:
             return T
+    return None
+
+
+def semigroup_to_tree(S):
+    """Multiplicity tree of a local Arf semigroup; inverse of tree_to_semigroup.
+
+    The tree keeps the coordinate order of S, so its glued branch groups
+    must be intervals of consecutive coordinates.  When they are not but S
+    is Arf, as the tree read in glued order shows, the DomainError names
+    that order.
+    """
+    if not is_local(S):
+        raise DomainError("only local semigroups have a multiplicity tree")
+    T = _read_tree(S)
+    if T is not None:
+        return T
+    # a plane projection without a tree raises the same ValidationError
+    order = _glued_order(S) if S.d >= 3 else None
+    if order and _read_tree(_project(S, order)) is not None:
+        raise DomainError("the semigroup is Arf, but its glued branches are not consecutive; "
+                          "list its coordinates in the order %s"
+                          % ", ".join(str(j + 1) for j in order))
     raise ValidationError("the semigroup is not Arf; it has no multiplicity tree")
 
 

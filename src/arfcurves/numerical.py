@@ -20,7 +20,8 @@ class MultiplicitySequence:
     """Eventually-1 sequence of blowup multiplicities, stored by its prefix.
 
     Only the entries before the trailing all-ones tail are kept; entry(i)
-    returns 1 beyond the prefix.
+    returns 1 beyond the prefix.  Their sum is the conductor of the
+    semigroup; a sum above MAX_CONDUCTOR is refused with a DomainError.
     """
 
     __slots__ = ("prefix",)
@@ -34,6 +35,8 @@ class MultiplicitySequence:
             entries.append(int(e))
         while entries and entries[-1] == 1:
             entries.pop()
+        if sum(entries) > MAX_CONDUCTOR:
+            raise DomainError("the conductor exceeds the limit of %d" % MAX_CONDUCTOR)
         self.prefix = tuple(entries)
         if validate:
             decomposition_lengths(self)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from arfcurves import branch_ring
 from arfcurves.errors import ValidationError
 from arfcurves.good_semigroup import GoodSemigroup
 from arfcurves.mult_tree import (MultiplicityTree, tree_intersection,
@@ -212,3 +213,35 @@ def good_axioms_oracle(d, conductor, small):
                     return "property (2) fails at alpha=%r, beta=%r, coordinate %d" % (
                         list(a), list(b), pivot + 1)
     return None
+
+
+def pairwise_partition_oracle(algebra):
+    """Local components of a curve algebra by union-find over branch pairs.
+
+    A pair stays glued when the algebra restricted to it has no basis
+    element that is a unit on one branch of the pair and not on the other;
+    gluedness is transitive, so the components are the classes.  Groups are
+    ordered by first member, members by index.
+    """
+    d = algebra.d
+    parent = list(range(d))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(d):
+        for b in range(a + 1, d):
+            if find(a) == find(b):
+                continue
+            pair = branch_ring._restricted(algebra, [a, b])
+            basis = branch_ring._saturate(pair, branch_ring._fm_bound(pair))
+            if all((key[0] == 0) == (key[1] == 0) for key in basis):
+                parent[find(b)] = find(a)
+
+    groups = {}
+    for a in range(d):
+        groups.setdefault(find(a), []).append(a)
+    return [groups[root] for root in sorted(groups, key=lambda r: groups[r][0])]

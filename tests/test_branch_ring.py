@@ -18,6 +18,8 @@ from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_c
                                  semigroup_to_seq)
 from arfcurves.series import SeriesTuple, TruncatedSeries, parse_series
 
+from helpers import pairwise_partition_oracle
+
 
 def curve(*generators, **kwargs):
     data = {"d": len(generators[0]), "generators": list(generators)}
@@ -149,6 +151,24 @@ def test_blowup_matches_explicit_presentation():
     assert value_set(blowup(C4), (6, 6)) == value_set(explicit, (6, 6))
 
 
+def test_blowup_folds_generators_when_none_has_minimal_value():
+    # fm_bound is (2,2) and no generator has that value; folding the first
+    # two with lambda = 1 cancels t^2, so lambda = 2 is taken
+    algebra = curve(["t^2", "u^3"], ["-t^2", "u^4"], ["t^5", "u^2"])
+    bound = branch_ring._fm_bound(algebra)
+    assert bound == (2, 2)
+    assert all(branch_ring._capped_key(g, bound) != bound for g in algebra.generators)
+    blown = blowup(algebra)
+    assert branch_ring._capped_key(blown.generators[0], bound) == bound
+    assert branch_ring._partition(blown) == [[0], [1]]
+    # the blowups of the branches k[[t^2,t^5]] and k[[u^2,u^3]], side by side
+    explicit = LocalAlgebra([tuples("t^2", "0"), tuples("t^3", "0"), tuples("0", "u"),
+                             tuples("0", "1")], validate=False)
+    values = value_set(blown, (6, 6))
+    assert values == value_set(explicit, (6, 6))
+    assert values == {(a, b) for a in (0, 2, 3, 4, 5, 6) for b in range(7)}
+
+
 def test_blowup_requires_local():
     with pytest.raises(DomainError, match="local"):
         blowup(blowup(blowup(C4)))
@@ -216,53 +236,79 @@ def test_identical_branches_fail_before_the_first_blowup():
             multiplicity_tree_of_curve(twins)
 
 
-def locality_inputs(algebra):
-    """Every algebra whose locality the multiplicity tree of `algebra` tests:
-    the curve, its blowups and the branch pairs that _partition restricts to."""
-    seen = []
-    real = branch_ring.is_local_ring
+def saturation_inputs(algebra, bounds=()):
+    """Every (algebra, bound) that _saturate sees while the multiplicity tree
+    of `algebra` grows and while its value sets within `bounds` are taken,
+    every (algebra, partition) that _partition returns, and every verdict
+    of is_local_ring."""
+    seen = {"saturate": [], "partition": [], "local": []}
+    saturate, partition, local = (branch_ring._saturate, branch_ring._partition,
+                                  branch_ring.is_local_ring)
 
-    def record(candidate):
-        seen.append(candidate)
-        return real(candidate)
+    def record_saturate(candidate, bound):
+        seen["saturate"].append((candidate, bound))
+        return saturate(candidate, bound)
 
-    with mock.patch.object(branch_ring, "is_local_ring", record):
+    def record_partition(candidate):
+        parts = partition(candidate)
+        seen["partition"].append((candidate, parts))
+        return parts
+
+    def record_local(candidate):
+        verdict = local(candidate)
+        seen["local"].append(verdict)
+        return verdict
+
+    with mock.patch.object(branch_ring, "_saturate", record_saturate), \
+            mock.patch.object(branch_ring, "_partition", record_partition), \
+            mock.patch.object(branch_ring, "is_local_ring", record_local):
         try:
             multiplicity_tree_of_curve(algebra)
         except TruncationError:
             pass
+        for bound in bounds:
+            value_set(algebra, bound)
     return seen
 
 
-def saturation_outcome(algebra, bound, cut):
+def fresh(algebra):
+    """The same generators with an empty saturation cache."""
+    return LocalAlgebra(algebra.generators, algebra.truncation_order, validate=False)
+
+
+def saturation_outcome(algebra, bound, full):
+    """Keys in insertion order, or the TruncationError message; with `full`
+    the generators are saturated uncut, as the precision reference."""
+    cut = (lambda element, bound: element) if full else branch_ring._cut
     try:
-        return list(branch_ring._saturate(algebra, bound, cut=cut))
+        with mock.patch.object(branch_ring, "_cut", cut):
+            return list(branch_ring._saturate(fresh(algebra), bound))
     except TruncationError as exc:
         return str(exc)
 
 
-def assert_cut_matches_full(algebra):
-    """The cut saturation inserts the keys of the full-precision one, in the
-    same order, and is_local_ring gives the verdict of the full basis."""
-    bound = branch_ring._fm_bound(algebra)
-    full = saturation_outcome(algebra, bound, cut=False)
-    assert saturation_outcome(algebra, bound, cut=True) == full
-    if isinstance(full, str):
-        with pytest.raises(TruncationError):
-            is_local_ring(algebra)
-        return None
-    local = branch_ring._local_witness(full) is None
-    assert is_local_ring(algebra) == local
-    return local
+def assert_one_basis_matches(algebra, bounds=()):
+    """Each cut saturation inserts the keys of the full-precision one, in the
+    same order, and _partition finds the components that the pairwise
+    oracle finds.  Returns the partitions."""
+    seen = saturation_inputs(algebra, bounds)
+    for candidate, bound in seen["saturate"]:
+        assert saturation_outcome(candidate, bound, False) == saturation_outcome(
+            candidate, bound, True)
+    for candidate, parts in seen["partition"]:
+        assert parts == pairwise_partition_oracle(candidate)
+    # blowups are taken of local components only
+    assert all(seen["local"])
+    return [parts for _, parts in seen["partition"]]
 
 
 def test_cut_saturation_matches_full_on_goldens():
-    verdicts = []
-    for algebra in (R46, R4613, C4, U, REP, UT, E2A, E2B, C1, C2, C3, FP):
-        inputs = locality_inputs(algebra)
-        assert len(inputs) > 1 or algebra.d == 1
-        verdicts.extend(assert_cut_matches_full(a) for a in inputs)
-    assert True in verdicts and False in verdicts
+    partitions = []
+    for algebra, bounds in ((R46, [(20,)]), (R4613, []), (C4, [(8, 8)]), (U, []),
+                            (REP, []), (UT, [(20, 8)]), (E2A, []), (E2B, []),
+                            (C1, []), (C2, []), (C3, []), (FP, [(6, 6)])):
+        partitions.extend(assert_one_basis_matches(algebra, bounds))
+    assert [[0], [1]] in partitions and [[0, 1]] in partitions
 
 
 @st.composite
@@ -283,8 +329,7 @@ def plane_curves(draw):
 @settings(max_examples=25, deadline=None)
 @given(plane_curves())
 def test_cut_saturation_matches_full_on_plane_curves(algebra):
-    for candidate in locality_inputs(algebra):
-        assert_cut_matches_full(candidate)
+    assert_one_basis_matches(algebra, [(6,) * algebra.d])
 
 
 def test_cut_keeps_truncation_errors():
@@ -296,7 +341,9 @@ def test_cut_keeps_truncation_errors():
     assert branch_ring._fm_bound(shallow) == (3, 2)
     with pytest.raises(TruncationError, match="cannot decide values up to 3 on branch 1"):
         is_local_ring(shallow)
-    assert_cut_matches_full(shallow)
+    message = saturation_outcome(shallow, (3, 2), False)
+    assert "cannot decide values up to 3 on branch 1" in message
+    assert saturation_outcome(shallow, (3, 2), True) == message
     # two blowups of C3 at truncation 8 leave branch 1 known below order 2 only
     with pytest.raises(TruncationError, match="cannot decide values up to 2 on branch 1"):
         multiplicity_tree_of_curve(curve(["t^4", "u^2"], ["t^6+t^7", "u^3"], truncation=8))

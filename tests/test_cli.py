@@ -90,6 +90,10 @@ def test_tree_from_even_numerical_semigroup(capsys):
     ("closure", "2", "1000000001"),
     ("seq", '{"generators":[2,1000000001]}'),
     ("characters", '{"generators":[1048577,1048578]}'),
+    ("unseq", '{"prefix":[4000000]}'),
+    ("seq", '{"conductor":1000000000,"small_elements":[0]}'),
+    ("tree", "to-semigroup", '{"d":1,"nodes":[{"level":0,"vector":[1000000000],'
+                             '"parent":null},{"level":1,"vector":[1],"parent":0}]}'),
 ])
 def test_oversized_generators_are_refused(capsys, argv):
     code = main(list(argv))
@@ -97,6 +101,26 @@ def test_oversized_generators_are_refused(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert "limit" in captured.err and "Traceback" not in captured.err
+
+
+# the tree semigroup of [[2],[2],[3]] with splits (3, 0), coordinates 1, 3, 2
+GLUED_APART = ('{"d":3,"conductor":[5,3,5],'
+               '"small_elements":[[0,0,0],[2,3,2],[3,3,3],[4,3,4],[5,3,5]]}')
+
+
+@pytest.mark.parametrize("argv", [
+    ("tree", "from-semigroup", GLUED_APART),
+    ("chars", "build", GLUED_APART),
+])
+def test_arf_semigroup_with_glued_branches_apart(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "is Arf" in captured.err and "order 1, 3, 2" in captured.err
+    code, out = run(capsys, "check", GLUED_APART)
+    assert code == 0
+    assert json.loads(out)["is_arf"] is True
 
 
 def test_huge_generator_with_small_conductor(capsys):

@@ -1,9 +1,11 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arfcurves import kernels
 from arfcurves.errors import DomainError, ValidationError
 from arfcurves.good_semigroup import (
     GoodSemigroup,
@@ -50,6 +52,17 @@ def test_is_good_examples():
     assert not ok
     assert "property (2)" in message
     assert "[6, 4]" in message and "[8, 4]" in message
+
+
+def test_lift_kernel_runs_from_two_branches_on():
+    # distinct members of N never agree at a coordinate, so d = 1 has no
+    # pair to lift
+    with mock.patch.object(kernels, "first_lift_violation",
+                           wraps=kernels.first_lift_violation) as lift:
+        assert is_good(1, (4,), [(0,), (2,), (4,)]) == (True, None)
+        assert not lift.called
+        assert is_good(2, EX1.conductor, EX1.small_elements) == (True, None)
+        assert lift.called
 
 
 def test_is_good_reports_min_violation():

@@ -117,6 +117,14 @@ def test_oversized_conductors_are_refused():
         NumericalSemigroup.from_generators([2 ** 20 + 1, 2 ** 20 + 2])
     with pytest.raises(DomainError, match="limit"):
         arf_closure([2, 10 ** 9 + 1])
+    # a DomainError, not a ValidationError that is_arf would read as "not Arf"
+    with pytest.raises(DomainError, match="limit") as refused:
+        MultiplicitySequence([2 ** 20, 1, 1, 2])
+    assert not isinstance(refused.value, ValidationError)
+    assert MultiplicitySequence([2 ** 19, 2 ** 19], validate=False).prefix == (2 ** 19,) * 2
+    with pytest.raises(DomainError, match="limit") as refused:
+        is_arf(S(10 ** 9, [0]))
+    assert not isinstance(refused.value, ValidationError)
 
 
 def test_arf_closure_examples():
