@@ -14,11 +14,12 @@ both are stored as the sentinel bound_j + 1; keys that are sentinels in
 every component are discarded.  Terms of degree above bound_j never reach
 such a key, so every saturation runs on generators cut to bound + 1.
 
-The saturation closes the basis under products, under pairwise sums
-f + lambda*g (which realize componentwise minima), and under leading-term
-eliminations; inserting an element reduces it against the basis entry with
-the same key, so collisions surface the deeper values created by
-cancellation, for example v(t^6+t^7) = 6 and v((t^6+t^7)^2 - (t^4)^3) = 13.
+The saturation closes the basis under products, leading-term eliminations
+and componentwise minima, each minimum one sum f + lambda*g with the first
+lambda in 1..d+1 that keeps it (`_min_sum`, shared with `blowup`).  Inserting
+an element reduces it against the basis entry with the same key, so
+collisions surface the deeper values created by cancellation, for example
+v(t^6+t^7) = 6 and v((t^6+t^7)^2 - (t^4)^3) = 13.
 
 Blowing up divides the maximal ideal by an element of minimal value, and
 iterated blowups assemble the multiplicity tree: at each level every still
@@ -77,18 +78,13 @@ class LocalAlgebra:
                     raise ValidationError(
                         "no generator has a nonzero component on branch %d" % (j + 1,)
                     )
-            kept = [g for g in generators if not g.is_zero()]
         else:
             one = SeriesTuple.constant(1, d)
-            kept = []
-            for g in generators:
-                c = g.components[0].constant_term()
-                if c != 0:
-                    g = g - one.scale(c)
-                if not g.is_zero():
-                    kept.append(g)
-            if not kept:
-                raise DomainError("every generator reduced to zero")
+            generators = [g.plus_multiple(one, -g.components[0].constant_term())
+                          for g in generators]
+        kept = [g for g in generators if not g.is_zero()]
+        if not kept:
+            raise DomainError("every generator reduced to zero")
         self.d = d
         self.generators = tuple(kept)
         if truncation_order is None:
@@ -127,16 +123,31 @@ def _capped_key(element, bound):
 def _cut(element, bound):
     """The element truncated to min(truncation_j, bound_j + 1) on each branch.
 
-    Orders are never negative, so a term of degree <= bound_j of a sum,
-    product, scaling or leading-term elimination depends only on operand
-    terms of degree <= bound_j.  Saturating cut generators therefore
-    inserts the same keys in the same order, and raises the same
-    TruncationErrors, as saturating the full-precision ones.
+    Orders are never negative, so a term of degree <= bound_j of a product
+    or of a linear step f + c*g depends only on operand terms of degree
+    <= bound_j.  Saturating cut generators therefore inserts the same keys
+    in the same order, and raises the same TruncationErrors, as saturating
+    the full-precision ones.
     """
     return SeriesTuple(
         TruncatedSeries(component.coefficients, min(component.truncation, b + 1))
         for component, b in zip(element.components, bound)
     )
+
+
+def _eliminate(f, g, j, e):
+    """f minus the multiple of g that cancels their common leading t^e on branch j."""
+    return f.plus_multiple(
+        g, -f.components[j].coefficients[e] / g.components[j].coefficients[e])
+
+
+def _min_sum(f, g, bound):
+    """f + lambda*g for the first lambda in 1..d+1 whose capped key is the
+    componentwise minimum of the keys of f and g; at most one lambda cancels
+    each leading term where the orders agree, so one of them works."""
+    target = tuple(map(min, _capped_key(f, bound), _capped_key(g, bound)))
+    return next(s for s in (f.plus_multiple(g, lam) for lam in range(1, f.d + 2))
+                if _capped_key(s, bound) == target)
 
 
 def _saturate(algebra, bound):
@@ -145,6 +156,13 @@ def _saturate(algebra, bound):
     The generators are first cut to bound+1 (see `_cut`), so the cost does
     not grow with the truncation order; the basis elements only serve
     their keys and are not fit for division.
+
+    A missing minimum of f1, f2 takes one sum, `_min_sum(f1, f2)`, and the
+    other lambdas in 1..d+1 add no key.  A lambda that cancels the leading
+    term on a branch j where the orders agree gives exactly f1 - mu_j*f2,
+    the elimination inserted anyway.  A second lambda that keeps the
+    minimum reduces against the first to a multiple of f1 or f2, which
+    reduces to zero, or to a multiple of that same elimination element.
     """
     cached = algebra._cache.get(bound)
     if cached is not None:
@@ -167,13 +185,9 @@ def _saturate(algebra, bound):
             # same key: cancel the leading term of the first finite
             # component; the key strictly increases, so this terminates
             j = next(i for i in range(d) if key[i] <= bound[i])
-            mu = (
-                element.components[j].coefficients[key[j]]
-                / existing.components[j].coefficients[key[j]]
-            )
             # a vanished element has key big when its truncation decides
             # the box, and raises otherwise
-            element = element - existing.scale(mu)
+            element = _eliminate(element, existing, j, key[j])
 
     insert(SeriesTuple.constant(1, d))
     for g in algebra.generators:
@@ -197,17 +211,10 @@ def _saturate(algebra, bound):
                     continue
                 min_key = tuple(map(min, k1, k2))
                 if min_key not in basis:
-                    # some lambda below avoids cancellation in every
-                    # component where the orders agree
-                    for lam in range(1, d + 2):
-                        grew |= insert(f1 + f2.scale(lam))
+                    grew |= insert(_min_sum(f1, f2, bound))
                 for j in range(d):
                     if k1[j] == k2[j] and k1[j] <= bound[j]:
-                        mu = (
-                            f1.components[j].coefficients[k1[j]]
-                            / f2.components[j].coefficients[k2[j]]
-                        )
-                        grew |= insert(f1 - f2.scale(mu))
+                        grew |= insert(_eliminate(f1, f2, j, k1[j]))
 
     algebra._cache[bound] = basis
     return basis
@@ -282,10 +289,10 @@ def blowup(algebra):
     """The algebra of the maximal ideal divided by an element x of minimal value.
 
     x is the first generator of value fm_bound, or else the generators
-    folded into one by sums x + lambda*g, lambda in 1..d+1, each keeping the
-    componentwise minimum of the values: some lambda in that range cancels
-    no leading term where the orders agree.  A generator is preferred
-    because a folded x is dense and slows every division by it.
+    folded into one by `_min_sum`, the minimum rule of `_saturate`: each
+    fold x + lambda*g keeps the componentwise minimum of the values.  A
+    generator is preferred because a folded x is dense and slows every
+    division by it.
     """
     if not is_local_ring(algebra):
         raise DomainError("blowup requires a local algebra; blow up its local pieces instead")
@@ -294,9 +301,7 @@ def blowup(algebra):
     if x is None:
         x = algebra.generators[0]
         for g in algebra.generators[1:]:
-            target = tuple(map(min, _capped_key(x, bound), _capped_key(g, bound)))
-            x = next(s for s in (x + g.scale(lam) for lam in range(1, algebra.d + 2))
-                     if _capped_key(s, bound) == target)
+            x = _min_sum(x, g, bound)
     return LocalAlgebra([x] + [g / x for g in algebra.generators], validate=False)
 
 
@@ -357,7 +362,10 @@ def multiplicity_tree_of_curve(algebra):
                 entries[branch].append(multiplicity)
             if fm == (1,):
                 return branches, []
-            current = blowup(current)
+            # a blowup depends on the generators alone: a fixed point repeats
+            current, previous = blowup(current), current
+            if current.generators == previous.generators:
+                raise TruncationError(exhausted)
             parts = _partition(current) if len(branches) > 1 else [[0]]
             level += 1
             if len(parts) > 1:

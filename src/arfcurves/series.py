@@ -12,6 +12,11 @@ and a quotient up to min(t_f, t_g) - ord(g) -- so a computed term is always
 a true term of the exact result.  Constants are exact; they carry the
 sentinel order EXACT, which behaves as "known to every order".
 
+The public constructor validates outside input, coercing coefficients to
+Fractions; arithmetic builds its result dict of nonzero Fraction terms
+below the truncation directly.  Every linear step is one call
+f.plus_multiple(g, c) = f + c*g, and `+` and `-` are its c = +1, -1 cases.
+
 SeriesTuple bundles d components, one per branch of a curve, and is the
 element type of the branch-ring algebra computations.
 """
@@ -53,8 +58,12 @@ class TruncatedSeries:
         return cls({0: Fraction(value)}, EXACT)
 
     @classmethod
-    def zero(cls, truncation=EXACT):
-        return cls({}, truncation)
+    def _of(cls, terms, truncation):
+        """A series from nonzero Fraction terms below `truncation`, unchecked."""
+        series = cls.__new__(cls)
+        series.coefficients = terms
+        series.truncation = truncation
+        return series
 
     def is_zero(self):
         """True when no term is known; the tail beyond truncation may differ."""
@@ -70,21 +79,24 @@ class TruncatedSeries:
     def constant_term(self):
         return self.coefficients.get(0, Fraction(0))
 
-    def __add__(self, other):
+    def plus_multiple(self, other, c):
+        """self + c*other (c an int or a Fraction) up to the smaller truncation."""
         truncation = min(self.truncation, other.truncation)
-        terms = dict(self.coefficients)
-        for exponent, coefficient in other.coefficients.items():
-            terms[exponent] = terms.get(exponent, 0) + coefficient
-        return TruncatedSeries(terms, truncation)
+        terms = {e: a for e, a in self.coefficients.items() if e < truncation}
+        for e, b in other.coefficients.items():
+            if e < truncation:
+                total = terms.get(e, 0) + c * b
+                if total:
+                    terms[e] = total
+                else:
+                    terms.pop(e, None)
+        return TruncatedSeries._of(terms, truncation)
+
+    def __add__(self, other):
+        return self.plus_multiple(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, value):
-        value = Fraction(value)
-        return TruncatedSeries(
-            {e: c * value for e, c in self.coefficients.items()}, self.truncation
-        )
+        return self.plus_multiple(other, -1)
 
     def __mul__(self, other):
         truncation = min(
@@ -98,7 +110,7 @@ class TruncatedSeries:
                 e = e1 + e2
                 if e < truncation:
                     terms[e] = terms.get(e, 0) + c1 * c2
-        return TruncatedSeries(terms, truncation)
+        return TruncatedSeries._of({e: c for e, c in terms.items() if c}, truncation)
 
     def __truediv__(self, other):
         """Series division; the dividend's order must not fall below the divisor's."""
@@ -128,7 +140,7 @@ class TruncatedSeries:
             for de, dc in divisor.items():
                 if e + de < truncation:
                     remainder[e + de] = remainder.get(e + de, 0) - c * dc
-        return TruncatedSeries(quotient, truncation)
+        return TruncatedSeries._of(quotient, truncation)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -192,28 +204,25 @@ class SeriesTuple:
     def constant_vector(self):
         return tuple(component.constant_term() for component in self.components)
 
-    def __add__(self, other):
-        self._check(other)
-        return SeriesTuple([a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return SeriesTuple([a - b for a, b in zip(self.components, other.components)])
-
-    def __mul__(self, other):
-        self._check(other)
-        return SeriesTuple([a * b for a, b in zip(self.components, other.components)])
-
-    def __truediv__(self, other):
-        self._check(other)
-        return SeriesTuple([a / b for a, b in zip(self.components, other.components)])
-
-    def scale(self, value):
-        return SeriesTuple([component.scale(value) for component in self.components])
-
-    def _check(self, other):
+    def _zip(self, other, op):
+        """The tuple of op(a, b) over paired components, built once."""
         if not isinstance(other, SeriesTuple) or other.d != self.d:
             raise DomainError("series tuples must have the same number of components")
+        result = SeriesTuple.__new__(SeriesTuple)
+        result.components = tuple(map(op, self.components, other.components))
+        return result
+
+    def plus_multiple(self, other, c):
+        return self._zip(other, lambda a, b: a.plus_multiple(b, c))
+
+    def __add__(self, other):
+        return self._zip(other, TruncatedSeries.__add__)
+
+    def __mul__(self, other):
+        return self._zip(other, TruncatedSeries.__mul__)
+
+    def __truediv__(self, other):
+        return self._zip(other, TruncatedSeries.__truediv__)
 
     def __eq__(self, other):
         if not isinstance(other, SeriesTuple):

@@ -1,6 +1,7 @@
 """Shared oracles and random generators for the test suite."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -245,3 +246,65 @@ def pairwise_partition_oracle(algebra):
     for a in range(d):
         groups.setdefault(find(a), []).append(a)
     return [groups[root] for root in sorted(groups, key=lambda r: groups[r][0])]
+
+
+def value_set_oracle(algebra, bound):
+    """Values of a curve algebra inside the box [0, bound], by linear algebra.
+
+    Shares nothing with the saturation.  The generators (no constant terms)
+    are cut at bound+1 as dense coefficient lists, and their products span
+    the algebra modulo the elements whose order passes the box on every
+    branch; a product that passes it is dropped with its multiples.  alpha
+    is a value iff no alpha_j-th coefficient of branch j vanishes on
+    W_alpha, the part of that span whose coefficients below alpha_j vanish
+    on every branch j: over an infinite field a space is no finite union of
+    proper subspaces.  W_alpha is W_(alpha - e_j) cut by one more
+    coefficient, by Fraction Gaussian elimination.
+    """
+    d = algebra.d
+    offsets = [sum(b + 1 for b in bound[:j]) for j in range(d)]
+
+    def convolve(a, b):
+        return [sum(a[i] * b[e - i] for i in range(e + 1)) for e in range(len(a))]
+
+    gens = [[[g.components[j].coefficients.get(e, Fraction(0)) for e in range(bound[j] + 1)]
+             for j in range(d)] for g in algebra.generators]
+    one = [[Fraction(1)] + [Fraction(0)] * bound[j] for j in range(d)]
+    products, frontier = [one], [(one, 0)]
+    while frontier:
+        monomial, first = frontier.pop()
+        for i in range(first, len(gens)):
+            product = [convolve(a, b) for a, b in zip(monomial, gens[i])]
+            if any(any(branch) for branch in product):
+                products.append(product)
+                frontier.append((product, i))
+
+    # an echelon basis of the span, rows flattened over (branch, exponent)
+    basis = {}
+    for row in ([c for branch in p for c in branch] for p in products):
+        for pivot in sorted(basis):
+            if row[pivot]:
+                row = [x - row[pivot] * y for x, y in zip(row, basis[pivot])]
+        lead = next((k for k, x in enumerate(row) if x), None)
+        if lead is not None:
+            basis[lead] = [x / row[lead] for x in row]
+
+    def cut(space, column):
+        pivot = next((v for v in space if v[column]), None)
+        if pivot is None:
+            return space
+        return [[x - v[column] / pivot[column] * y for x, y in zip(v, pivot)]
+                if v[column] else v for v in space if v is not pivot]
+
+    spaces, values = {}, set()
+    for alpha in itertools.product(*(range(b + 1) for b in bound)):
+        j = max((j for j in range(d) if alpha[j]), default=None)
+        if j is None:
+            space = list(basis.values())
+        else:
+            below = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+            space = cut(spaces[below], offsets[j] + alpha[j] - 1)
+        spaces[alpha] = space
+        if all(any(v[offsets[j] + alpha[j]] for v in space) for j in range(d)):
+            values.add(alpha)
+    return values

@@ -18,7 +18,7 @@ from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_c
                                  semigroup_to_seq)
 from arfcurves.series import SeriesTuple, TruncatedSeries, parse_series
 
-from helpers import pairwise_partition_oracle
+from helpers import pairwise_partition_oracle, value_set_oracle
 
 
 def curve(*generators, **kwargs):
@@ -228,6 +228,19 @@ def test_diagonal_never_separates():
         multiplicity_tree_of_curve(curve(["t", "u"], truncation=12))
 
 
+def test_blowup_fixed_point_ends_the_walk():
+    # k[[t^2]] and k[[(t,2u)]] blow up to themselves; the walk
+    # stops after one blowup instead of one per unit of truncation
+    for algebra, message in ((curve(["t^2"], truncation=200), "does not reach 1"),
+                             (curve(["t", "2u"], truncation=200), "fail to separate")):
+        calls = []
+        with mock.patch.object(branch_ring, "blowup",
+                               side_effect=lambda a, real=blowup: calls.append(a) or real(a)):
+            with pytest.raises(TruncationError, match=message):
+                multiplicity_tree_of_curve(algebra)
+        assert len(calls) == 1
+
+
 def test_identical_branches_fail_before_the_first_blowup():
     twins = curve(["t^2", "u^2"], ["3/2*t^3", "3/2*u^3"], truncation=64)
     with mock.patch.object(branch_ring, "blowup", side_effect=AssertionError("blew up")):
@@ -330,6 +343,38 @@ def plane_curves(draw):
 @given(plane_curves())
 def test_cut_saturation_matches_full_on_plane_curves(algebra):
     assert_one_basis_matches(algebra, [(6,) * algebra.d])
+
+
+GOLDEN_BOXES = ((R46, (20,)), (R4613, (16,)), (C4, (8, 8)), (U, (12, 8)), (REP, (12, 8)),
+                (UT, (20, 8)), (E2A, (8, 10)), (E2B, (8, 10)), (C1, (12, 8)),
+                (C2, (12, 8)), (C3, (12, 8)), (FP, (6, 6)))
+
+
+def test_value_set_matches_linear_algebra_oracle_on_goldens():
+    for algebra, bound in GOLDEN_BOXES:
+        assert value_set(fresh(algebra), bound) == value_set_oracle(algebra, bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(plane_curves())
+def test_value_set_matches_linear_algebra_oracle_on_plane_curves(algebra):
+    bound = (6,) * algebra.d
+    assert value_set(algebra, bound) == value_set_oracle(algebra, bound)
+
+
+def test_value_set_matches_linear_algebra_oracle_on_three_branches():
+    algebra = curve(["t^3", "u", "v"], ["2t^7+t^8", "2u^4+u^5", "-v^3+v^4"])
+    values = value_set(algebra, (8, 8, 8))
+    assert len(values) == 14
+    assert values == value_set_oracle(algebra, (8, 8, 8))
+
+
+def test_one_lambda_per_minimum():
+    # folding t^2 + lambda*(-t^2 + t^3): lambda = 1 cancels, lambda = 2 keeps (2, 2)
+    f, g = tuples("t^2", "u^3"), tuples("-t^2+t^3", "u^2")
+    assert branch_ring._min_sum(f, g, (4, 4)) == f.plus_multiple(g, 2)
+    assert branch_ring._capped_key(f + g, (4, 4)) == (3, 2)
+    assert branch_ring._eliminate(f, g, 0, 2) == f + g
 
 
 def test_cut_keeps_truncation_errors():

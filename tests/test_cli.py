@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -269,6 +270,19 @@ def test_exit_codes(capsys):
     assert code == 1
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+def test_infinite_index_branch_stops_at_its_fixed_point(capsys):
+    # k[[t^2]] blows up to itself; the walk stops there instead of blowing
+    # it up once per unit of truncation, each blowup a division of that length
+    start = time.perf_counter()
+    code = main(["curve", "tree", '{"d":1,"generators":[["t^2"]],"truncation":32000}'])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "does not reach 1 within the truncation order" in captured.err
+    assert elapsed < 5.0
 
 
 def test_tree_to_semigroup_scales_with_members(capsys):

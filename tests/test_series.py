@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arfcurves.errors import DomainError, InputError, TruncationError
@@ -163,3 +163,53 @@ def test_product_commutes_and_respects_known_terms(cf, cg):
     exact = exact_f * exact_g
     for exponent, coefficient in product.coefficients.items():
         assert exact.coefficients.get(exponent, 0) == coefficient
+
+
+def dense(series, length):
+    return [series.coefficients.get(e, Fraction(0)) for e in range(length)]
+
+
+def assert_well_formed(series):
+    """The invariant arithmetic results keep without re-validation."""
+    assert all(type(e) is int and 0 <= e < series.truncation
+               for e in series.coefficients)
+    assert all(type(c) is Fraction and c != 0 for c in series.coefficients.values())
+
+
+# small integers make sums and products cancel often
+COEFFICIENTS = st.sampled_from([-2, -1, 1, 2]).map(Fraction) | st.fractions()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 24), COEFFICIENTS, max_size=6),
+       st.dictionaries(st.integers(0, 24), COEFFICIENTS, max_size=6),
+       st.integers(1, 24), st.integers(1, 24), COEFFICIENTS)
+def test_arithmetic_results_are_well_formed_and_match_dense_reference(cf, cg, tf, tg, c):
+    f = TruncatedSeries(cf, tf)
+    g = TruncatedSeries(cg, tg)
+    results = [f.plus_multiple(g, c), f + g, f - g, f * g, f - f, f.plus_multiple(f, -1)]
+    for result in results:
+        assert_well_formed(result)
+    assert (f - f).is_zero() and f.plus_multiple(f, -1).is_zero()
+
+    step = f.plus_multiple(g, c)
+    assert step.truncation == min(tf, tg)
+    assert dense(step, step.truncation) == [
+        a + c * b for a, b in zip(dense(f, step.truncation), dense(g, step.truncation))]
+    assert f + g == f.plus_multiple(g, 1) and f - g == f.plus_multiple(g, -1)
+
+    product = f * g
+    known = dense(product, product.truncation)
+    a, b = dense(f, tf), dense(g, tg)
+    for e in range(product.truncation):
+        assert known[e] == sum(a[i] * b[e - i] for i in range(e + 1)
+                               if i < tf and e - i < tg)
+
+    v = g.order()
+    if v is None or f.order_lower_bound() < v or min(tf, tg) <= v:
+        return
+    quotient = f / g
+    assert_well_formed(quotient)
+    back = quotient * g
+    assert all(back.coefficients.get(e, 0) == f.coefficients.get(e, 0)
+               for e in range(quotient.truncation))
