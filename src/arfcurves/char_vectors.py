@@ -14,7 +14,7 @@ from .errors import DomainError, ValidationError, literal_int, literal_ints, lit
 from .good_semigroup import GoodSemigroup, projection
 from .mult_tree import (MultiplicityTree, _condition_c_failure, node_path_sum,
                         semigroup_to_tree, tree_to_semigroup)
-from .numerical import arf_characters, arf_closure, decomposition_lengths, semigroup_to_seq
+from .numerical import arf_characters, arf_closure, semigroup_to_seq
 
 
 class CharacterVectorSet:
@@ -135,11 +135,6 @@ def _max_valid_splits(branches, bounds):
     each coordinate of a violated window to its cap and maximizing over the
     results reaches the unique maximum.
     """
-    ks = [decomposition_lengths(seq) for seq in branches]
-
-    def k(j, i):
-        return ks[j][i] if i < len(ks[j]) else 1
-
     memo = {}
 
     def solve(w):
@@ -149,8 +144,7 @@ def _max_valid_splits(branches, bounds):
         if failure is None:
             memo[w] = w
             return w
-        i, j, h = failure
-        cap = i + min(k(j, i), k(h, i))
+        _, j, h, cap = failure
         best = None
         for a in range(j, h):
             if w[a] > cap:
@@ -231,7 +225,8 @@ def reduce_characters(V, S):
 
 
 def is_minimal_character_set(V, S):
-    """True iff V determines S and no proper subset does (checked exhaustively)."""
+    """True iff V determines S and no V minus one vector does: determination
+    is monotone, as W <= U <= V gives S = smallest(W) <= smallest(U) <= S."""
     def determines(vectors):
         try:
             return smallest_arf_containing(CharacterVectorSet(V.d, vectors)) == S
@@ -240,9 +235,8 @@ def is_minimal_character_set(V, S):
 
     if not determines(V.vectors):
         return False
-    return not any(determines(subset)
-                   for size in range(len(V.vectors))
-                   for subset in itertools.combinations(V.vectors, size))
+    return not any(determines(V.vectors[:i] + V.vectors[i + 1:])
+                   for i in range(len(V.vectors)))
 
 
 def charset_to_dict(V):

@@ -11,6 +11,7 @@ consecutive split levels between them.
 """
 
 import itertools
+from functools import cmp_to_key
 from math import prod
 
 from .errors import (DomainError, InputError, ValidationError, literal_int, literal_ints,
@@ -40,12 +41,9 @@ class MultiplicityTree:
         if any(s < 0 for s in self.splits):
             raise ValidationError("split levels must be natural numbers")
         if validate:
-            failure = _condition_c_failure(self.branches, self.splits)
-            if failure is not None:
-                i, j, h = failure
-                raise ValidationError(
-                    "condition c fails at the level-%d node of branches %d-%d"
-                    % (i, j + 1, h + 1))
+            ok, message = validate_tree(self)
+            if not ok:
+                raise ValidationError(message)
 
     @property
     def d(self):
@@ -92,11 +90,12 @@ class MultiplicityTree:
 
 
 def _condition_c_failure(branches, splits):
-    """First (level, j, h) where a node vector is not a rooted-subtree sum.
+    """First (level, j, h, cap) where a node vector is not a rooted-subtree sum.
 
     A node at level i glued over branches j..h forces subtree depth
     i + k_i per branch; the depths coexist in one subtree iff equal or the
-    pair splits no later than the shallower forced depth.
+    pair splits no later than cap, the shallower forced depth; cap > i, so
+    a pair parted below level i never fails there.
     """
     d = len(branches)
     ks = [decomposition_lengths(seq) for seq in branches]
@@ -104,18 +103,13 @@ def _condition_c_failure(branches, splits):
     def k(j, i):
         return ks[j][i] if i < len(ks[j]) else 1
 
-    top = max((min(splits[j:h]) for j in range(d) for h in range(j + 1, d)),
-              default=-1)
-    top = min(top, max((len(table) for table in ks), default=0))
+    top = min(max(splits, default=-1), max((len(table) for table in ks), default=0))
     for i in range(top + 1):
         for j in range(d):
             for h in range(j + 1, d):
-                s = min(splits[j:h])
-                if i > s:
-                    continue
                 kj, kh = k(j, i), k(h, i)
-                if kj != kh and s > i + min(kj, kh):
-                    return (i, j, h)
+                if kj != kh and min(splits[j:h]) > i + min(kj, kh):
+                    return (i, j, h, i + min(kj, kh))
     return None
 
 
@@ -136,7 +130,7 @@ def validate_tree(candidate):
     failure = _condition_c_failure(candidate.branches, candidate.splits)
     if failure is None:
         return True, None
-    i, j, h = failure
+    i, j, h, _ = failure
     return False, ("condition c fails at the level-%d node of branches %d-%d"
                    % (i, j + 1, h + 1))
 
@@ -277,35 +271,44 @@ def tree_intersection(T1, T2):
                             tuple(max(a, b) for a, b in zip(T1.splits, T2.splits)))
 
 
-def _serialize(T):
-    return tuple(tuple(T.node_vector(i, g) for g in T.groups(i))
-                 for i in range(T.stable_level + 1))
-
-
 def canonical_form(T):
     """Minimal representative under branch permutation, plus the witnessing
     permutation p (1-based: canonical branch i is original branch p[i-1]).
 
     Only permutations that keep every glued group an interval are admissible;
     among those, the lexicographically smallest level-major serialization of
-    the node vectors wins, with the permutation itself as tie break.
+    the node vectors wins, with the permutation itself as tie break.  Each
+    glued group sorts its children: x goes first iff x_L + y_L < y_L + x_L
+    at the first level L where the two differ, else iff its permutation is
+    smaller.  Swapping adjacent children out of that order lowers the
+    serialization, so the sorted order is the minimum.
     """
-    d = T.d
-    best = None
-    for perm in itertools.permutations(range(d)):
-        splits = [T.pair_split(perm[i], perm[i + 1]) for i in range(d - 1)]
-        consistent = all(
-            min(splits[j:h]) == T.pair_split(perm[j], perm[h])
-            for j in range(d) for h in range(j + 1, d))
-        if not consistent:
-            continue
-        candidate = MultiplicityTree([T.branches[p] for p in perm], splits,
-                                     validate=False)
-        key = (_serialize(candidate), perm)
-        if best is None or key < best[0]:
-            best = (key, candidate, perm)
-    _, tree, perm = best
+    top = T.stable_level
+
+    def form(level, group):
+        # rows[L]: the group's entries inside an ancestor's node for L < level,
+        # then its node vectors; perm: its branches in canonical order
+        if len(group) == 1:
+            last = top
+            children = [([(T.branches[group[0]].entry(L),) for L in range(top + 1)],
+                         tuple(group))]
+        else:
+            last = min(T.splits[group[0]:group[-1]])
+            children = sorted((form(last + 1, child) for child in T.groups(last + 1)
+                               if child[0] in group), key=cmp_to_key(_sibling_order))
+        rows = [sum((sub[L] for sub, _ in children), ()) for L in range(top + 1)]
+        return ([(row,) if level <= L <= last else row for L, row in enumerate(rows)],
+                sum((perm for _, perm in children), ()))
+
+    _, perm = form(0, range(T.d))
+    splits = [T.pair_split(perm[i], perm[i + 1]) for i in range(T.d - 1)]
+    tree = MultiplicityTree([T.branches[p] for p in perm], splits, validate=False)
     return tree, tuple(p + 1 for p in perm)
+
+
+def _sibling_order(x, y):
+    pairs = list(zip(x[0], y[0]))
+    return -1 if ([a + b for a, b in pairs], x[1]) < ([b + a for a, b in pairs], y[1]) else 1
 
 
 def noether_sum(T, j, h):

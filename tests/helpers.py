@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 
 from arfcurves import branch_ring
-from arfcurves.errors import ValidationError
+from arfcurves.char_vectors import CharacterVectorSet, smallest_arf_containing
+from arfcurves.errors import DomainError, ValidationError
 from arfcurves.good_semigroup import GoodSemigroup
 from arfcurves.mult_tree import (MultiplicityTree, tree_intersection,
                                  tree_to_semigroup)
@@ -121,6 +122,37 @@ def random_tree(rng, d_max=3, max_len=4, max_entry=6, split_max=4):
             continue
 
 
+def _serialize(T):
+    return tuple(tuple(T.node_vector(i, g) for g in T.groups(i))
+                 for i in range(T.stable_level + 1))
+
+
+def canonical_form_oracle(T):
+    """Minimal representative under branch permutation, plus the witnessing
+    permutation p (1-based: canonical branch i is original branch p[i-1]).
+
+    Only permutations that keep every glued group an interval are admissible;
+    among those, the lexicographically smallest level-major serialization of
+    the node vectors wins, with the permutation itself as tie break.
+    """
+    d = T.d
+    best = None
+    for perm in itertools.permutations(range(d)):
+        splits = [T.pair_split(perm[i], perm[i + 1]) for i in range(d - 1)]
+        consistent = all(
+            min(splits[j:h]) == T.pair_split(perm[j], perm[h])
+            for j in range(d) for h in range(j + 1, d))
+        if not consistent:
+            continue
+        candidate = MultiplicityTree([T.branches[p] for p in perm], splits,
+                                     validate=False)
+        key = (_serialize(candidate), perm)
+        if best is None or key < best[0]:
+            best = (key, candidate, perm)
+    _, tree, perm = best
+    return tree, tuple(p + 1 for p in perm)
+
+
 def tree_semigroup_oracle(T):
     """Semigroup of a valid tree from its depth profiles, on a dense grid.
 
@@ -169,6 +201,21 @@ def enumerate_smallest_arf(V):
         if all(semi.contains(v) for v in vectors):
             best = tree if best is None else tree_intersection(best, tree)
     return tree_to_semigroup(best)
+
+
+def is_minimal_character_set_oracle(V, S):
+    """True iff V determines S and no proper subset does (checked exhaustively)."""
+    def determines(vectors):
+        try:
+            return smallest_arf_containing(CharacterVectorSet(V.d, vectors)) == S
+        except (DomainError, ValidationError):
+            return False
+
+    if not determines(V.vectors):
+        return False
+    return not any(determines(subset)
+                   for size in range(len(V.vectors))
+                   for subset in itertools.combinations(V.vectors, size))
 
 
 def good_axioms_oracle(d, conductor, small):

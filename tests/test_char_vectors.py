@@ -10,10 +10,10 @@ from arfcurves.char_vectors import (CharacterVectorSet, build_character_vectors,
                                     smallest_arf_containing)
 from arfcurves.errors import DomainError, ValidationError
 from arfcurves.good_semigroup import GoodSemigroup
-from arfcurves.mult_tree import tree_to_semigroup
+from arfcurves.mult_tree import MultiplicityTree, tree_to_semigroup
 from arfcurves.numerical import NumericalSemigroup
 
-from helpers import enumerate_smallest_arf, random_tree
+from helpers import enumerate_smallest_arf, is_minimal_character_set_oracle, random_tree
 
 EX1 = GoodSemigroup(2, (8, 4), [(0, 0), (4, 2), (6, 4), (8, 4)])
 EX2 = GoodSemigroup(2, (4, 6), [(0, 0), (2, 3), (3, 5), (4, 6)])
@@ -115,6 +115,34 @@ def test_minimality_rejects_redundant():
     padded = charset((1, 1, 1), (2, 3, 2), (2, 2, 2))
     assert not is_minimal_character_set(padded, DIAG3)
     assert not is_minimal_character_set(charset((4, 2)), EX1)
+
+
+def test_minimality_matches_subset_scan():
+    rng = random.Random(5)
+    verdicts = {True: 0, False: 0}
+    for _ in range(120):
+        S = tree_to_semigroup(random_tree(rng, d_max=3, max_len=3, max_entry=4,
+                                          split_max=2))
+        members = [v for v in S.small_elements if all(v)]
+        pool = members + list(build_character_vectors(S))
+        V = CharacterVectorSet(S.d, rng.sample(pool, min(len(pool), rng.randint(1, 5))))
+        minimal = is_minimal_character_set(V, S)
+        assert minimal == is_minimal_character_set_oracle(V, S), (V, S)
+        verdicts[minimal] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_minimality_on_a_large_superset():
+    # 24 vectors: subsets of every smaller size would number 2**24
+    S = tree_to_semigroup(MultiplicityTree([[2, 2, 2, 2]] * 3, splits=(1, 0)))
+    assert len(S.small_elements) == 41
+    V = build_character_vectors(S)
+    extra = [v for v in S.small_elements if all(v) and v not in V]
+    padded = CharacterVectorSet(3, list(V) + extra[:24 - len(V)])
+    assert len(padded) == 24
+    assert smallest_arf_containing(padded) == S
+    assert not is_minimal_character_set(padded, S)
+    assert is_minimal_character_set(reduce_characters(V, S), S)
 
 
 def test_dict_round_trip():

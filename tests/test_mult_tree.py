@@ -15,7 +15,8 @@ from arfcurves.mult_tree import (MAX_TREE_MEMBERS, MultiplicityTree, canonical_f
                                  tree_to_semigroup, validate_tree)
 from arfcurves.numerical import NumericalSemigroup
 
-from helpers import arf_good_oracle, random_tree, tree_semigroup_oracle
+from helpers import (arf_good_oracle, canonical_form_oracle, random_arf_sequence, random_tree,
+                     tree_semigroup_oracle)
 
 # Two branches of multiplicity 2 glued one level past the root.
 T_PAIR = MultiplicityTree([[2], [2]], splits=(1,))
@@ -248,6 +249,55 @@ def test_canonical_form_keeps_glued_groups_adjacent():
     canonical, perm = canonical_form(tree)
     assert perm == (3, 1, 2)
     assert canonical == MultiplicityTree([[2], [3], [3]], splits=(0, 2))
+
+
+def test_canonical_form_matches_permutation_scan():
+    # branches drawn from a pool of at most three sequences and splits <= 3,
+    # so that siblings often tie on some or all levels
+    rng = random.Random(9)
+    trees = []
+    while len(trees) < 600:
+        pool = [random_arf_sequence(rng, 3, 5) for _ in range(rng.randint(1, 3))]
+        d = rng.randint(1, 6)
+        try:
+            trees.append(MultiplicityTree([rng.choice(pool) for _ in range(d)],
+                                          [rng.randint(0, 3) for _ in range(d - 1)]))
+        except ValidationError:
+            continue
+    assert sum(len(set(tree.branches)) < tree.d for tree in trees) >= 300
+    assert {tree.d for tree in trees} == {1, 2, 3, 4, 5, 6}
+    for tree in trees:
+        assert canonical_form(tree) == canonical_form_oracle(tree), tree
+
+
+def _glued_shuffle(rng, tree, group):
+    """A random order of the branches of a glued group that keeps every
+    glued group inside it an interval."""
+    if len(group) == 1:
+        return list(group)
+    last = min(tree.splits[group[0]:group[-1]])
+    children = [child for child in tree.groups(last + 1) if child[0] in group]
+    rng.shuffle(children)
+    return [j for child in children for j in _glued_shuffle(rng, tree, child)]
+
+
+def test_canonical_form_twelve_branches_relabelled():
+    tree = MultiplicityTree([[3, 3], [3, 3], [2, 2], [1], [3, 3], [1], [2, 2], [2, 2],
+                             [3, 3], [3, 3], [2, 2], [2, 2]],
+                            splits=(3, 1, 0, 1, 0, 0, 0, 3, 1, 3, 0))
+    canonical, perm = canonical_form(tree)
+    rng = random.Random(12)
+    for _ in range(5):
+        order = _glued_shuffle(rng, tree, range(12))
+        relabelled = MultiplicityTree(
+            [tree.branches[j] for j in order],
+            [tree.pair_split(order[i], order[i + 1]) for i in range(11)])
+        assert relabelled != tree
+        again, perm2 = canonical_form(relabelled)
+        assert again == canonical
+        assert [relabelled.branches[p - 1] for p in perm2] == list(canonical.branches)
+        assert semigroup_to_tree(tree_to_semigroup(relabelled)) == relabelled
+    assert semigroup_to_tree(tree_to_semigroup(canonical)) == canonical
 
 
 def test_dict_round_trip():
