@@ -34,6 +34,8 @@ Every computation is exact below the truncation order and fails loudly
 (TruncationError) rather than extrapolate past it.
 """
 
+from fractions import Fraction
+
 from .errors import (DomainError, InputError, TruncationError, ValidationError,
                      literal_int, literal_list)
 from .mult_tree import MultiplicityTree, canonical_form, tree_to_semigroup
@@ -129,16 +131,20 @@ def _cut(element, bound):
     in the same order, and raises the same TruncationErrors, as saturating
     the full-precision ones.
     """
-    return SeriesTuple(
-        TruncatedSeries(component.coefficients, min(component.truncation, b + 1))
-        for component, b in zip(element.components, bound)
-    )
+    cut = []
+    for component, b in zip(element.components, bound):
+        truncation = min(component.truncation, b + 1)
+        cut.append(TruncatedSeries._of(
+            {e: n for e, n in component.numerators.items() if e < truncation},
+            component.denominator, truncation))
+    return SeriesTuple(cut)
 
 
 def _eliminate(f, g, j, e):
     """f minus the multiple of g that cancels their common leading t^e on branch j."""
-    return f.plus_multiple(
-        g, -f.components[j].coefficients[e] / g.components[j].coefficients[e])
+    a, b = f.components[j], g.components[j]
+    return f.plus_multiple(g, Fraction(-a.numerators[e] * b.denominator,
+                                       a.denominator * b.numerators[e]))
 
 
 def _min_sum(f, g, bound):

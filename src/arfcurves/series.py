@@ -1,6 +1,6 @@
 """Truncated formal power series with exact rational coefficients.
 
-A TruncatedSeries stores finitely many terms c_e * v^e with Fraction
+A TruncatedSeries stores finitely many terms c_e * v^e with rational
 coefficients together with a truncation order t: the terms with e < t are
 exactly the terms of the represented series below t, and nothing is known
 from t on.  Arithmetic propagates the truncation honestly -- a sum is known
@@ -12,15 +12,22 @@ and a quotient up to min(t_f, t_g) - ord(g) -- so a computed term is always
 a true term of the exact result.  Constants are exact; they carry the
 sentinel order EXACT, which behaves as "known to every order".
 
-The public constructor validates outside input, coercing coefficients to
-Fractions; arithmetic builds its result dict of nonzero Fraction terms
-below the truncation directly.  Every linear step is one call
-f.plus_multiple(g, c) = f + c*g, and `+` and `-` are its c = +1, -1 cases.
+The coefficients are held fraction-free: nonzero integer numerators below
+the truncation over one positive integer denominator, with content
+gcd(denominator, *numerators) == 1.  That form is canonical, so equality
+and hashing are value equality, and every operation runs on ints and
+divides the content out once per result (`_of`).  `coefficients` is a
+read-only Fraction view for printing and inspection, not for arithmetic.
+
+The public constructor validates outside input; arithmetic builds its
+result directly.  Every linear step is one call f.plus_multiple(g, c) =
+f + c*g, and `+` and `-` are its c = +1, -1 cases.
 
 SeriesTuple bundles d components, one per branch of a curve, and is the
 element type of the branch-ring algebra computations.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -35,7 +42,7 @@ EXACT = 10 ** 9
 class TruncatedSeries:
     """Finitely many exact terms of a power series, known below `truncation`."""
 
-    __slots__ = ("coefficients", "truncation")
+    __slots__ = ("numerators", "denominator", "truncation")
 
     def __init__(self, coefficients, truncation):
         truncation = int(truncation)
@@ -50,7 +57,11 @@ class TruncatedSeries:
             # terms at or beyond the truncation carry no information
             if coefficient != 0 and exponent < truncation:
                 terms[exponent] = coefficient
-        self.coefficients = terms
+        # over the lcm of the reduced denominators the content is already 1
+        denominator = math.lcm(*(c.denominator for c in terms.values()))
+        self.numerators = {e: c.numerator * (denominator // c.denominator)
+                           for e, c in terms.items()}
+        self.denominator = denominator
         self.truncation = truncation
 
     @classmethod
@@ -58,39 +69,60 @@ class TruncatedSeries:
         return cls({0: Fraction(value)}, EXACT)
 
     @classmethod
-    def _of(cls, terms, truncation):
-        """A series from nonzero Fraction terms below `truncation`, unchecked."""
+    def _of(cls, numerators, denominator, truncation):
+        """The series numerators/denominator, from nonzero int numerators
+        below `truncation` and a positive denominator; divides out the content."""
+        if denominator != 1:
+            content = math.gcd(denominator, *numerators.values())
+            if content != 1:
+                numerators = {e: n // content for e, n in numerators.items()}
+                denominator //= content
         series = cls.__new__(cls)
-        series.coefficients = terms
+        series.numerators = numerators
+        series.denominator = denominator
         series.truncation = truncation
         return series
 
+    @property
+    def coefficients(self):
+        """The known terms as {exponent: Fraction}, built on each access."""
+        return {e: Fraction(n, self.denominator) for e, n in self.numerators.items()}
+
     def is_zero(self):
         """True when no term is known; the tail beyond truncation may differ."""
-        return not self.coefficients
+        return not self.numerators
 
     def order(self):
         """Exponent of the lowest known term, or None when none is known."""
-        return min(self.coefficients) if self.coefficients else None
+        return min(self.numerators) if self.numerators else None
 
     def order_lower_bound(self):
-        return min(self.coefficients) if self.coefficients else self.truncation
+        return min(self.numerators) if self.numerators else self.truncation
 
     def constant_term(self):
-        return self.coefficients.get(0, Fraction(0))
+        return Fraction(self.numerators.get(0, 0), self.denominator)
 
     def plus_multiple(self, other, c):
-        """self + c*other (c an int or a Fraction) up to the smaller truncation."""
+        """self + c*other (c an int or a Fraction) up to the smaller truncation.
+
+        Both numerator dicts are scaled to the lcm of the two denominators
+        (other's times c's)."""
         truncation = min(self.truncation, other.truncation)
-        terms = {e: a for e, a in self.coefficients.items() if e < truncation}
-        for e, b in other.coefficients.items():
+        a, b = self.denominator, other.denominator * c.denominator
+        denominator = math.lcm(a, b)
+        sa, sb = denominator // a, c.numerator * (denominator // b)
+        if sa == 1 and self.truncation == truncation:
+            terms = self.numerators.copy()
+        else:
+            terms = {e: sa * n for e, n in self.numerators.items() if e < truncation}
+        for e, n in other.numerators.items():
             if e < truncation:
-                total = terms.get(e, 0) + c * b
+                total = terms.get(e, 0) + sb * n
                 if total:
                     terms[e] = total
                 else:
                     terms.pop(e, None)
-        return TruncatedSeries._of(terms, truncation)
+        return TruncatedSeries._of(terms, denominator, truncation)
 
     def __add__(self, other):
         return self.plus_multiple(other, 1)
@@ -105,61 +137,80 @@ class TruncatedSeries:
         )
         truncation = min(truncation, EXACT)
         terms = {}
-        for e1, c1 in self.coefficients.items():
-            for e2, c2 in other.coefficients.items():
+        for e1, n1 in self.numerators.items():
+            for e2, n2 in other.numerators.items():
                 e = e1 + e2
                 if e < truncation:
-                    terms[e] = terms.get(e, 0) + c1 * c2
-        return TruncatedSeries._of({e: c for e, c in terms.items() if c}, truncation)
+                    terms[e] = terms.get(e, 0) + n1 * n2
+        return TruncatedSeries._of({e: n for e, n in terms.items() if n},
+                                   self.denominator * other.denominator, truncation)
 
     def __truediv__(self, other):
-        """Series division; the dividend's order must not fall below the divisor's."""
+        """Series division; the dividend's order must not fall below the divisor's.
+
+        Integer long division of the numerators: when the divisor's lead
+        does not divide the current remainder term, the remainder and the
+        quotient are scaled by lead / gcd(term, lead) first, and the scale
+        joins the denominator.  A lead of +-1 never scales."""
         v = other.order()
         if v is None:
             raise DomainError("division by a series with no known terms")
-        if self.coefficients and min(self.coefficients) < v:
+        if self.numerators and min(self.numerators) < v:
             raise DomainError(
                 "series division needs dividend order >= divisor order (%d < %d)"
-                % (min(self.coefficients), v)
+                % (min(self.numerators), v)
             )
         truncation = min(self.truncation, other.truncation) - v
         if truncation <= 0:
             raise TruncationError(
                 "truncation exhausted in series division; rerun with a larger truncation order"
             )
-        divisor = {e - v: c for e, c in other.coefficients.items() if e - v < truncation}
+        divisor = {e - v: n for e, n in other.numerators.items() if e - v < truncation}
         lead = divisor.pop(0)
-        remainder = {e - v: c for e, c in self.coefficients.items() if e - v < truncation}
+        remainder = {e - v: n for e, n in self.numerators.items() if e - v < truncation}
         quotient = {}
+        scale = 1
         for e in range(truncation):
-            c = remainder.get(e)
-            if not c:
+            r = remainder.pop(e, 0)
+            if not r:
                 continue
-            c = c / lead
-            quotient[e] = c
-            for de, dc in divisor.items():
+            if r % lead:
+                s = abs(lead) // math.gcd(r, lead)
+                remainder = {k: s * n for k, n in remainder.items()}
+                quotient = {k: s * n for k, n in quotient.items()}
+                scale *= s
+                r *= s
+            q = r // lead
+            quotient[e] = q
+            for de, n in divisor.items():
                 if e + de < truncation:
-                    remainder[e + de] = remainder.get(e + de, 0) - c * dc
-        return TruncatedSeries._of(quotient, truncation)
+                    remainder[e + de] = remainder.get(e + de, 0) - q * n
+        # self/other = (quotient/scale) * (other.denominator/self.denominator)
+        return TruncatedSeries._of(
+            {e: q * other.denominator for e, q in quotient.items()},
+            scale * self.denominator, truncation)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.coefficients == other.coefficients and self.truncation == other.truncation
+        return (self.numerators == other.numerators
+                and self.denominator == other.denominator
+                and self.truncation == other.truncation)
 
     def __hash__(self):
-        return hash((frozenset(self.coefficients.items()), self.truncation))
+        return hash((frozenset(self.numerators.items()), self.denominator, self.truncation))
 
     def __repr__(self):
         return "TruncatedSeries(%r, truncation=%d)" % (self.coefficients, self.truncation)
 
     def to_string(self, variable):
         """Render as a sum of `c*v^e` terms in increasing exponent order."""
-        if not self.coefficients:
+        coefficients = self.coefficients
+        if not coefficients:
             return "0"
         parts = []
-        for exponent in sorted(self.coefficients):
-            coefficient = self.coefficients[exponent]
+        for exponent in sorted(coefficients):
+            coefficient = coefficients[exponent]
             if exponent == 0:
                 term = str(coefficient)
             else:
@@ -299,6 +350,8 @@ def parse_series(text, variable, truncation):
         token, position = take()
         coefficient = Fraction(sign)
         if re.fullmatch(r"\d+/\d+|\d+", token):
+            if re.fullmatch(r"\d+/0+", token):
+                raise InputError("zero denominator in %r" % token, position)
             coefficient *= Fraction(token)
             if peek() == "*":
                 _, star_position = take()
@@ -339,7 +392,9 @@ def parse_series(text, variable, truncation):
 
     sign = 1
     if peek() in ("+", "-"):
-        token, _ = take()
+        token, position = take()
+        if index >= len(tokens):
+            raise InputError("dangling %r at the end of the series" % token, position)
         sign = -1 if token == "-" else 1
     parse_term(sign)
     while index < len(tokens):

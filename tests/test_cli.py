@@ -314,6 +314,8 @@ def test_tree_to_semigroup_scales_with_members(capsys):
     ("tree", "to-semigroup", '{"d":1,"nodes":[{"level":"a","vector":[1],"parent":null}]}'),
     ("tree", "to-semigroup", '{"d":1,"nodes":[{"level":1.5,"vector":[1],"parent":null}]}'),
     ("tree", "to-semigroup", '{"d":1,"nodes":[{"level":0,"vector":[1],"parent":"x"}]}'),
+    ("curve", "tree", '{"d":1,"generators":[["-"]]}'),
+    ("curve", "tree", '{"d":1,"generators":[["t^2+1/0*t^3"]]}'),
 ])
 def test_mistyped_literals_exit_2(capsys, argv):
     code = main(list(argv))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,10 @@ def test_parse_series_positioned_errors():
         parse_series("t^70", "t", 64)
     with pytest.raises(InputError, match="variable"):
         parse_series("2*", "t", 64)
+    with pytest.raises(InputError, match=r"dangling '-'.*position 1"):
+        parse_series("-", "t", 64)
+    with pytest.raises(InputError, match=r"zero denominator.*position 2"):
+        parse_series("-1/0*t", "t", 64)
 
 
 def test_to_string_round_trips():
@@ -170,9 +175,14 @@ def dense(series, length):
 
 
 def assert_well_formed(series):
-    """The invariant arithmetic results keep without re-validation."""
+    """The invariant arithmetic results keep without re-validation: nonzero
+    int numerators below the truncation over a positive int denominator,
+    with content 1, and a view of nonzero Fractions."""
     assert all(type(e) is int and 0 <= e < series.truncation
-               for e in series.coefficients)
+               for e in series.numerators)
+    assert all(type(n) is int and n != 0 for n in series.numerators.values())
+    assert type(series.denominator) is int and series.denominator > 0
+    assert math.gcd(series.denominator, *series.numerators.values()) == 1
     assert all(type(c) is Fraction and c != 0 for c in series.coefficients.values())
 
 
@@ -213,3 +223,67 @@ def test_arithmetic_results_are_well_formed_and_match_dense_reference(cf, cg, tf
     back = quotient * g
     assert all(back.coefficients.get(e, 0) == f.coefficients.get(e, 0)
                for e in range(quotient.truncation))
+
+
+def test_one_rational_series_built_two_ways_is_equal_and_hashes_equal():
+    half = TruncatedSeries({1: Fraction(1, 2)}, 8)
+    for other in (TruncatedSeries({1: "2/4"}, 8),
+                  TruncatedSeries({1: 1, 9: 3}, 8).plus_multiple(
+                      TruncatedSeries({1: 1}, 8), Fraction(-1, 2)),
+                  series("2/3*t", truncation=8) * TruncatedSeries.constant(Fraction(3, 4))):
+        assert other == half and hash(other) == hash(half)
+        assert (other.numerators, other.denominator) == ({1: 1}, 2)
+    assert TruncatedSeries({1: 1}, 8) != half
+    assert TruncatedSeries({}, 8).denominator == 1
+    assert (half - half).denominator == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 16), COEFFICIENTS, max_size=5),
+       st.dictionaries(st.integers(0, 16), COEFFICIENTS, min_size=1, max_size=5),
+       st.integers(1, 24), st.integers(1, 24))
+def test_product_over_divisor_is_the_dividend(cf, cg, tf, tg):
+    f = TruncatedSeries(cf, tf)
+    g = TruncatedSeries(cg, tg)
+    if g.is_zero() or (f * g).truncation <= g.order():
+        return
+    q = (f * g) / g
+    assert_well_formed(q)
+    back = TruncatedSeries(f.coefficients, q.truncation)
+    assert q == back and hash(q) == hash(back)
+
+
+def sympy_terms(sympy, expression, x, below):
+    """{e: Fraction} of the Maclaurin coefficients of x^e, e < below."""
+    polynomial = sympy.series(expression, x, 0, below).removeO()
+    return {e: Fraction(int(c.p), int(c.q))
+            for (e,), c in sympy.Poly(polynomial, x).terms() if c and e < below}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(0, 10), COEFFICIENTS, max_size=4),
+       st.dictionaries(st.integers(0, 10), COEFFICIENTS, max_size=4),
+       st.integers(1, 12), st.integers(1, 12), COEFFICIENTS)
+def test_arithmetic_matches_sympy_series(cf, cg, tf, tg, c):
+    """Sums, products and quotients agree term for term with sympy's series
+    of the same rational polynomials, below each result's truncation."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = TruncatedSeries(cf, tf)
+    g = TruncatedSeries(cg, tg)
+
+    def polynomial(s):
+        return sum((sympy.Rational(a.numerator, a.denominator) * x ** e
+                    for e, a in s.coefficients.items()), sympy.Integer(0))
+
+    pf, pg = polynomial(f), polynomial(g)
+    step = f.plus_multiple(g, c)
+    assert step.coefficients == sympy_terms(
+        sympy, pf + sympy.Rational(c.numerator, c.denominator) * pg, x, step.truncation)
+    product = f * g
+    assert product.coefficients == sympy_terms(sympy, pf * pg, x, product.truncation)
+    v = g.order()
+    if v is None or f.order_lower_bound() < v or min(tf, tg) <= v:
+        return
+    quotient = f / g
+    assert quotient.coefficients == sympy_terms(sympy, pf / pg, x, quotient.truncation)
