@@ -24,11 +24,11 @@ v(t^6+t^7) = 6 and v((t^6+t^7)^2 - (t^4)^3) = 13.
 Blowing up divides the maximal ideal by an element of minimal value, and
 iterated blowups assemble the multiplicity tree: at each level every still
 glued group of branches contributes its fine multiplicity vector as a node,
-and a group splits into the local components of its blowup.  One basis,
-saturated at the fine multiplicity bound, decides both locality and the
-components: two branches are glued exactly when every basis element is a
-unit on both or on neither.  Two curves are equivalent exactly when their
-multiplicity trees agree up to branch renumbering.
+and a group splits into the local components of its blowup.  The
+components are read off the constant terms of the generators, with no
+saturation: two branches are glued exactly when every generator has the
+same constant on both (see `_partition`).  Two curves are equivalent
+exactly when their multiplicity trees agree up to branch renumbering.
 
 Every computation is exact below the truncation order and fails loudly
 (TruncationError) rather than extrapolate past it.
@@ -57,7 +57,7 @@ class LocalAlgebra:
     the algebra is not local.
     """
 
-    __slots__ = ("d", "generators", "truncation_order", "_cache")
+    __slots__ = ("d", "generators", "truncation_order")
 
     def __init__(self, generators, truncation_order=None, validate=True):
         generators = list(generators)
@@ -94,7 +94,6 @@ class LocalAlgebra:
                 component.truncation for g in kept for component in g.components
             )
         self.truncation_order = int(truncation_order)
-        self._cache = {}
 
     def __repr__(self):
         return "LocalAlgebra(d=%d, generators=%d, truncation_order=%d)" % (
@@ -170,9 +169,6 @@ def _saturate(algebra, bound):
     minimum reduces against the first to a multiple of f1 or f2, which
     reduces to zero, or to a multiple of that same elimination element.
     """
-    cached = algebra._cache.get(bound)
-    if cached is not None:
-        return cached
     d = algebra.d
     big = tuple(b + 1 for b in bound)
     zero_key = (0,) * d
@@ -222,7 +218,6 @@ def _saturate(algebra, bound):
                     if k1[j] == k2[j] and k1[j] <= bound[j]:
                         grew |= insert(_eliminate(f1, f2, j, k1[j]))
 
-    algebra._cache[bound] = basis
     return basis
 
 
@@ -244,28 +239,31 @@ def _fm_bound(algebra):
 def _partition(algebra):
     """Group the branches into the local components of the algebra.
 
-    A complete semilocal algebra is the product of its local components,
-    so a unit on one branch of a component is a unit on all of it, and the
-    idempotent of a component is a unit there and vanishes elsewhere.  The
-    branches of a component are therefore those on which the same basis
-    elements are units.  Those keys lie inside [0, fm_bound], so one
-    saturation at fm_bound decides them.  Groups are ordered by first
-    member, members by index.
+    Taking constant terms is a ring map from the algebra to k^d, and the
+    maximal ideals are the kernels of the evaluations at the branches.  A
+    complete semilocal algebra is the product of its localizations
+    (Matsumura, Commutative Ring Theory, section 8), so branches j and h lie
+    in one component exactly when every element has the same constant on
+    both: an element whose constants differ, minus its constant on j, is a
+    unit on h and not on j.  The constants of the generators' products and
+    sums are the products and sums of theirs, so comparing the generators
+    suffices.  Constant terms are always known, because every division
+    leaves truncation >= 1, so this costs O(n*d) and never raises.  Groups
+    are ordered by first member, members by index.
     """
-    basis = _saturate(algebra, _fm_bound(algebra))
     groups = {}
     for j in range(algebra.d):
-        groups.setdefault(tuple(key[j] == 0 for key in basis), []).append(j)
+        column = tuple(g.components[j].constant_term() for g in algebra.generators)
+        groups.setdefault(column, []).append(j)
     return list(groups.values())
 
 
 def is_local_ring(algebra):
     """True when the nonunits form an ideal: the algebra is one local component.
 
-    After constants are normalized away, a non-local algebra contains an
-    element that is a unit in some components and a nonunit in others; its
-    key has a zero coordinate next to a nonzero one, and `_partition`
-    separates those branches.
+    That is, every generator has one constant term on all branches (see
+    `_partition`); after constants are normalized by the first branch, every
+    constant term is zero.
     """
     return len(_partition(algebra)) == 1
 

@@ -263,6 +263,24 @@ def good_axioms_oracle(d, conductor, small):
     return None
 
 
+def saturation_partition_oracle(algebra):
+    """Group the branches into the local components of the algebra.
+
+    A complete semilocal algebra is the product of its local components,
+    so a unit on one branch of a component is a unit on all of it, and the
+    idempotent of a component is a unit there and vanishes elsewhere.  The
+    branches of a component are therefore those on which the same basis
+    elements are units.  Those keys lie inside [0, fm_bound], so one
+    saturation at fm_bound decides them.  Groups are ordered by first
+    member, members by index.
+    """
+    basis = branch_ring._saturate(algebra, branch_ring._fm_bound(algebra))
+    groups = {}
+    for j in range(algebra.d):
+        groups.setdefault(tuple(key[j] == 0 for key in basis), []).append(j)
+    return list(groups.values())
+
+
 def pairwise_partition_oracle(algebra):
     """Local components of a curve algebra by union-find over branch pairs.
 

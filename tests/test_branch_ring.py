@@ -1,3 +1,4 @@
+import random
 from functools import reduce
 from math import gcd
 from unittest import mock
@@ -18,7 +19,8 @@ from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_c
                                  semigroup_to_seq)
 from arfcurves.series import SeriesTuple, TruncatedSeries, parse_series
 
-from helpers import pairwise_partition_oracle, value_set_oracle
+from helpers import (pairwise_partition_oracle, saturation_partition_oracle,
+                     value_set_oracle)
 
 
 def curve(*generators, **kwargs):
@@ -252,9 +254,9 @@ def test_identical_branches_fail_before_the_first_blowup():
 def saturation_inputs(algebra, bounds=()):
     """Every (algebra, bound) that _saturate sees while the multiplicity tree
     of `algebra` grows and while its value sets within `bounds` are taken,
-    every (algebra, partition) that _partition returns, and every verdict
-    of is_local_ring."""
-    seen = {"saturate": [], "partition": [], "local": []}
+    every (algebra, partition) that _partition returns, every verdict
+    of is_local_ring, and the walk's TruncationError, if any."""
+    seen = {"saturate": [], "partition": [], "local": [], "error": None}
     saturate, partition, local = (branch_ring._saturate, branch_ring._partition,
                                   branch_ring.is_local_ring)
 
@@ -277,16 +279,11 @@ def saturation_inputs(algebra, bounds=()):
             mock.patch.object(branch_ring, "is_local_ring", record_local):
         try:
             multiplicity_tree_of_curve(algebra)
-        except TruncationError:
-            pass
+        except TruncationError as exc:
+            seen["error"] = str(exc)
         for bound in bounds:
             value_set(algebra, bound)
     return seen
-
-
-def fresh(algebra):
-    """The same generators with an empty saturation cache."""
-    return LocalAlgebra(algebra.generators, algebra.truncation_order, validate=False)
 
 
 def saturation_outcome(algebra, bound, full):
@@ -295,24 +292,40 @@ def saturation_outcome(algebra, bound, full):
     cut = (lambda element, bound: element) if full else branch_ring._cut
     try:
         with mock.patch.object(branch_ring, "_cut", cut):
-            return list(branch_ring._saturate(fresh(algebra), bound))
+            return list(branch_ring._saturate(algebra, bound))
     except TruncationError as exc:
         return str(exc)
 
 
+def oracle_partition(oracle, algebra):
+    """The oracle's components, or None where its saturation cannot decide them."""
+    try:
+        return oracle(algebra)
+    except TruncationError:
+        return None
+
+
 def assert_one_basis_matches(algebra, bounds=()):
     """Each cut saturation inserts the keys of the full-precision one, in the
-    same order, and _partition finds the components that the pairwise
-    oracle finds.  Returns the partitions."""
+    same order, and _partition finds the components that the saturation and
+    pairwise oracles find wherever they decide them.  Returns the seen
+    inputs with the partitions that both oracles decided."""
     seen = saturation_inputs(algebra, bounds)
+    # the tree walk saturates nothing; each value set saturates once
+    assert [bound for _, bound in seen["saturate"]] == list(bounds)
     for candidate, bound in seen["saturate"]:
         assert saturation_outcome(candidate, bound, False) == saturation_outcome(
             candidate, bound, True)
+    seen["decided"] = []
     for candidate, parts in seen["partition"]:
-        assert parts == pairwise_partition_oracle(candidate)
+        expected = [oracle_partition(oracle, candidate)
+                    for oracle in (saturation_partition_oracle, pairwise_partition_oracle)]
+        assert all(e is None or e == parts for e in expected)
+        if None not in expected:
+            seen["decided"].append(parts)
     # blowups are taken of local components only
     assert all(seen["local"])
-    return [parts for _, parts in seen["partition"]]
+    return seen
 
 
 def test_cut_saturation_matches_full_on_goldens():
@@ -320,7 +333,10 @@ def test_cut_saturation_matches_full_on_goldens():
     for algebra, bounds in ((R46, [(20,)]), (R4613, []), (C4, [(8, 8)]), (U, []),
                             (REP, []), (UT, [(20, 8)]), (E2A, []), (E2B, []),
                             (C1, []), (C2, []), (C3, []), (FP, [(6, 6)])):
-        partitions.extend(assert_one_basis_matches(algebra, bounds))
+        seen = assert_one_basis_matches(algebra, bounds)
+        assert seen["error"] is None
+        assert seen["decided"] == [parts for _, parts in seen["partition"]]
+        partitions.extend(seen["decided"])
     assert [[0], [1]] in partitions and [[0, 1]] in partitions
 
 
@@ -345,6 +361,38 @@ def test_cut_saturation_matches_full_on_plane_curves(algebra):
     assert_one_basis_matches(algebra, [(6,) * algebra.d])
 
 
+def random_curve(rng):
+    """2-4 branches at truncation 12-48; each component is 0 or 1-3 terms
+    of degree 1-8, and every branch has a nonzero component."""
+    d = rng.randint(2, 4)
+
+    def component(s):
+        if rng.random() <= 0.2:
+            return "0"
+        exponents = sorted(rng.sample(range(1, 9), rng.randint(1, 3)))
+        return "".join("%s%s*%s^%d" % (rng.choice("+-"), rng.choice(["1", "2", "3/2"]), s, e)
+                       for e in exponents).lstrip("+")
+
+    while True:
+        generators = [[component(s) for s in "tuvw"[:d]] for _ in range(rng.randint(2, 3))]
+        try:
+            return curve(*generators, truncation=rng.randint(12, 48))
+        except ValidationError:
+            continue
+
+
+def test_partition_matches_oracles_on_random_curves():
+    rng = random.Random(7)
+    count, decided, errors = 120, 0, 0
+    for _ in range(count):
+        seen = assert_one_basis_matches(random_curve(rng))
+        decided += len(seen["decided"])
+        errors += seen["error"] is not None
+    # the sample is not vacuous: most partitions are decided by both
+    # oracles, and some walks run out of truncation
+    assert decided > count and 0 < errors < count
+
+
 GOLDEN_BOXES = ((R46, (20,)), (R4613, (16,)), (C4, (8, 8)), (U, (12, 8)), (REP, (12, 8)),
                 (UT, (20, 8)), (E2A, (8, 10)), (E2B, (8, 10)), (C1, (12, 8)),
                 (C2, (12, 8)), (C3, (12, 8)), (FP, (6, 6)))
@@ -352,7 +400,7 @@ GOLDEN_BOXES = ((R46, (20,)), (R4613, (16,)), (C4, (8, 8)), (U, (12, 8)), (REP, 
 
 def test_value_set_matches_linear_algebra_oracle_on_goldens():
     for algebra, bound in GOLDEN_BOXES:
-        assert value_set(fresh(algebra), bound) == value_set_oracle(algebra, bound)
+        assert value_set(algebra, bound) == value_set_oracle(algebra, bound)
 
 
 @settings(max_examples=25, deadline=None)
@@ -377,21 +425,67 @@ def test_one_lambda_per_minimum():
     assert branch_ring._eliminate(f, g, 0, 2) == f + g
 
 
+# branch 1 is known only below order 3, and 3 is its smallest order
+SHALLOW = LocalAlgebra([
+    SeriesTuple([TruncatedSeries({3: 1}, 64), TruncatedSeries({2: 1}, 64)]),
+    SeriesTuple([TruncatedSeries({}, 3), TruncatedSeries({3: 1}, 64)]),
+])
+
+
 def test_cut_keeps_truncation_errors():
-    # branch 1 is known only below order 3, and 3 is its smallest order
-    shallow = LocalAlgebra([
-        SeriesTuple([TruncatedSeries({3: 1}, 64), TruncatedSeries({2: 1}, 64)]),
-        SeriesTuple([TruncatedSeries({}, 3), TruncatedSeries({3: 1}, 64)]),
-    ])
-    assert branch_ring._fm_bound(shallow) == (3, 2)
-    with pytest.raises(TruncationError, match="cannot decide values up to 3 on branch 1"):
-        is_local_ring(shallow)
-    message = saturation_outcome(shallow, (3, 2), False)
+    assert branch_ring._fm_bound(SHALLOW) == (3, 2)
+    message = saturation_outcome(SHALLOW, (3, 2), False)
     assert "cannot decide values up to 3 on branch 1" in message
-    assert saturation_outcome(shallow, (3, 2), True) == message
+    assert saturation_outcome(SHALLOW, (3, 2), True) == message
+
+
+def test_locality_needs_only_constant_terms():
+    # every constant term is known, so the values SHALLOW cannot decide
+    # do not matter to its locality
+    assert is_local_ring(SHALLOW)
+    assert branch_ring._partition(SHALLOW) == [[0, 1]]
+
+
+def test_shallow_walk_fails_in_division():
     # two blowups of C3 at truncation 8 leave branch 1 known below order 2 only
-    with pytest.raises(TruncationError, match="cannot decide values up to 2 on branch 1"):
+    with pytest.raises(TruncationError, match="truncation exhausted in series division"):
         multiplicity_tree_of_curve(curve(["t^4", "u^2"], ["t^6+t^7", "u^3"], truncation=8))
+
+
+def test_undecided_fine_multiplicity_raises():
+    # the third generator's branch-1 component has no known term below the
+    # fine multiplicity bound 5, so the fine multiplicity is not decided
+    unknown = SeriesTuple([TruncatedSeries({}, 3), TruncatedSeries({5: 1}, 64)])
+    known = [tuples("t^5", "u^2"), tuples("t^7", "u^3")]
+    for generators in ([unknown] + known, known + [unknown]):
+        with pytest.raises(TruncationError):
+            multiplicity_tree_of_curve(LocalAlgebra(generators))
+
+
+def lines(d):
+    """d lines through the origin, (t, u, ...) and (t, 2u, 3v, ...)."""
+    names = branch_ring._variable_names(d)
+    return curve(names, ["%d*%s" % (j + 1, s) for j, s in enumerate(names)], truncation=64)
+
+
+def cusps(order):
+    """Branches (t^2, c*t^3 + t^e) with c and e set by each branch's entry of `order`."""
+    names = branch_ring._variable_names(len(order))
+    return curve(["%s^2" % s for s in names],
+                 ["%d*%s^3+%s^%d" % (k + 1, s, s, 4 + k % 3) for s, k in zip(names, order)])
+
+
+def test_many_branches_split_without_saturation():
+    for d in range(8, 17):
+        tree = multiplicity_tree_of_curve(lines(d))
+        assert tree == MultiplicityTree([[1]] * d, splits=(0,) * (d - 1))
+    order = list(range(12))
+    shuffled = order[:]
+    random.Random(12).shuffle(shuffled)
+    assert shuffled != order
+    assert multiplicity_tree_of_curve(cusps(order)) == MultiplicityTree(
+        [[2]] * 12, splits=(2,) * 11)
+    assert curves_equivalent(cusps(order), cusps(shuffled))
 
 
 def test_closure_semigroups():
