@@ -14,12 +14,13 @@ both are stored as the sentinel bound_j + 1; keys that are sentinels in
 every component are discarded.  Terms of degree above bound_j never reach
 such a key, so every saturation runs on generators cut to bound + 1.
 
-The saturation closes the basis under products, leading-term eliminations
-and componentwise minima, each minimum one sum f + lambda*g with the first
-lambda in 1..d+1 that keeps it (`_min_sum`, shared with `blowup`).  Inserting
-an element reduces it against the basis entry with the same key, so
-collisions surface the deeper values created by cancellation, for example
-v(t^6+t^7) = 6 and v((t^6+t^7)^2 - (t^4)^3) = 13.
+The saturation closes the basis under multiplication by the generators,
+leading-term eliminations and componentwise minima, each minimum one sum
+f + lambda*g with the first lambda in 1..d+1 that keeps it (`_min_sum`,
+shared with `blowup`).  Inserting an element reduces it against the basis
+entry with the same key, so collisions surface the deeper values created
+by cancellation, for example v(t^6+t^7) = 6 and
+v((t^6+t^7)^2 - (t^4)^3) = 13.
 
 Blowing up divides the maximal ideal by an element of minimal value, and
 iterated blowups assemble the multiplicity tree: at each level every still
@@ -162,6 +163,13 @@ def _saturate(algebra, bound):
     not grow with the truncation order; the basis elements only serve
     their keys and are not fit for division.
 
+    Each basis element is multiplied by each cut generator once, never by
+    another basis element.  Cutting at bound+1 is a ring map onto
+    prod_j k[t_j]/(t_j^(bound_j + 1)), and a key is `big` exactly when the
+    image is 0, so the basis spans the image of everything inserted.  That
+    span contains 1 and is closed under multiplication by every generator,
+    so it is the image of the whole algebra.
+
     A missing minimum of f1, f2 takes one sum, `_min_sum(f1, f2)`, and the
     other lambdas in 1..d+1 add no key.  A lambda that cancels the leading
     term on a branch j where the orders agree gives exactly f1 - mu_j*f2,
@@ -171,8 +179,6 @@ def _saturate(algebra, bound):
     """
     d = algebra.d
     big = tuple(b + 1 for b in bound)
-    zero_key = (0,) * d
-
     basis = {}
 
     def insert(element):
@@ -191,26 +197,27 @@ def _saturate(algebra, bound):
             # the box, and raises otherwise
             element = _eliminate(element, existing, j, key[j])
 
+    generators = [_cut(g, bound) for g in algebra.generators]
     insert(SeriesTuple.constant(1, d))
-    for g in algebra.generators:
-        insert(_cut(g, bound))
+    for g in generators:
+        insert(g)
 
+    multiplied = set()
     processed = set()
     grew = True
     while grew:
         grew = False
         items = sorted(basis.items())
+        for k1, f1 in items:
+            if k1 not in multiplied:
+                multiplied.add(k1)
+                for g in generators:
+                    grew |= insert(f1 * g)
         for i1, (k1, f1) in enumerate(items):
-            for k2, f2 in items[i1:]:
+            for k2, f2 in items[i1 + 1:]:
                 if (k1, k2) in processed:
                     continue
                 processed.add((k1, k2))
-                if k1 != zero_key and k2 != zero_key:
-                    product_key = tuple(min(a + b, m) for a, b, m in zip(k1, k2, big))
-                    if product_key != big:
-                        grew |= insert(f1 * f2)
-                if k1 == k2:
-                    continue
                 min_key = tuple(map(min, k1, k2))
                 if min_key not in basis:
                     grew |= insert(_min_sum(f1, f2, bound))

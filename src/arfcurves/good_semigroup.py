@@ -9,22 +9,20 @@ the box [0, delta]; membership of an arbitrary vector follows the rule
     alpha in S  <=>  min(alpha, delta) in small_elements.
 
 The rule is a representation convention, not one of the axioms.  is_good
-checks the axioms under it on a numpy grid; only that check and
-from_member_grid load numpy.  Residues and projections are read off the
+checks the axioms under it on the member set, with no grid, so its cost
+and memory follow the members rather than the volume of the box; only
+from_member_grid loads numpy.  Residues and projections are read off the
 members, and Arf-ness off the trees of the local factors (is_arf_good).
 """
 
-import itertools
+from bisect import bisect_right
 from collections import Counter
+from itertools import combinations, compress
 from math import inf, prod
-from operator import ge, le
+from operator import add, ge, le, ne
 
 from .errors import DomainError, ValidationError, literal_int, literal_ints, literal_list
 from .numerical import NumericalSemigroup
-
-# Largest padded box [0, delta+1] the axiom checks will allocate (64 MiB of
-# booleans); a larger conductor is refused rather than exhausting memory.
-MAX_GRID_CELLS = 2 ** 26
 
 
 def _as_vector(value, d):
@@ -37,53 +35,64 @@ def _as_vector(value, d):
 
 
 def _axiom_failure(d, conductor, small):
-    """First violated good-semigroup axiom as a message, or None."""
-    import numpy as np
+    """First violated good-semigroup axiom as a message, or None.
 
-    from . import kernels
-
-    small_set = frozenset(small)
-    zero = (0,) * d
-    if zero not in small_set:
+    Pairs of the sorted members are scanned in order, each check one set
+    lookup: i < j for min, i <= j for the capped sum, then (i < j, pivot)
+    for the lift.  Under the cap rule the lifting witnesses for a and b at
+    a pivot p where they agree are the members u that equal m = min(a, b)
+    where a and b differ and are >= m elsewhere, with u_p >= min(a_p + 1,
+    delta_p), since a witness above the conductor caps down to delta_p.
+    Members are bucketed by their values where a and b differ, keeping the
+    maximal ones, which suffice.  Only pairs that agree somewhere are
+    visited, through an index of the members by coordinate value.
+    """
+    members = frozenset(small)
+    if (0,) * d not in members:
         return "0 must be a member"
-    if conductor not in small_set:
+    if conductor not in members:
         return "the conductor must be a member"
     for v in small:
         if any(x > c for x, c in zip(v, conductor)):
             return "element %r lies outside the conductor box" % (list(v),)
-    cells = prod(c + 2 for c in conductor)
-    if cells > MAX_GRID_CELLS:
-        raise DomainError("the conductor box needs %d grid cells, more than the "
-                          "limit of %d" % (cells, MAX_GRID_CELLS))
-    n = len(small)
-    arr = np.array(small, dtype=np.int64).reshape(n, d)
-    dims = tuple(c + 1 for c in conductor)
-    grid = np.zeros(dims, dtype=bool)
-    grid[tuple(arr.T)] = True
-    flat = grid.reshape(-1)
-    strides = kernels.flat_strides(dims)
-    code = kernels.first_min_violation(arr, flat, strides)
-    if code != -1:
-        i, j = divmod(int(code), n)
-        return "property (1) fails: min(%r, %r) is missing" % (
-            list(small[i]), list(small[j]))
-    code = kernels.first_sum_violation(arr, flat, strides,
-                                       np.array(conductor, dtype=np.int64))
-    if code != -1:
-        i, j = divmod(int(code), n)
-        return "not closed under addition: %r + %r is missing" % (
-            list(small[i]), list(small[j]))
-    if d == 1:
-        # distinct members of N never agree at a coordinate: nothing to lift
-        return None
-    ext = np.pad(grid, [(0, 1)] * d, mode="edge")
-    code = kernels.first_lift_violation(arr, ext.reshape(-1),
-                                        np.array(ext.shape, dtype=np.int64))
-    if code != -1:
-        pair, pivot = divmod(int(code), d)
-        i, j = divmod(pair, n)
-        return "property (2) fails at alpha=%r, beta=%r, coordinate %d" % (
-            list(small[i]), list(small[j]), pivot + 1)
+    for i, a in enumerate(small):
+        for b in small[i + 1:]:
+            if tuple(map(min, a, b)) not in members:
+                return "property (1) fails: min(%r, %r) is missing" % (list(a), list(b))
+    for i, a in enumerate(small):
+        for b in small[i:]:
+            if tuple(map(min, map(add, a, b), conductor)) not in members:
+                return "not closed under addition: %r + %r is missing" % (list(a), list(b))
+    by_value = {}
+    for k, v in enumerate(small):
+        for c, x in enumerate(v):
+            by_value.setdefault((c, x), []).append(k)
+    buckets = {}  # where members differ -> {values there: maximal members}
+    for i, a in enumerate(small):
+        partners = set()
+        for c, x in enumerate(a):
+            same = by_value[c, x]
+            partners.update(same[bisect_right(same, i):])
+        for j in sorted(partners):
+            b = small[j]
+            differ = tuple(map(ne, a, b))
+            bucket = buckets.get(differ)
+            if bucket is None:
+                bucket = buckets[differ] = {}
+                # in descending order, a member comes after all that dominate it
+                for u in reversed(small):
+                    top = bucket.setdefault(tuple(compress(u, differ)), [])
+                    if not any(all(map(ge, w, u)) for w in top):
+                        top.append(u)
+            m = tuple(map(min, a, b))
+            top = bucket[tuple(compress(m, differ))]
+            for p in range(d):
+                if differ[p]:
+                    continue
+                q = m[:p] + (min(a[p] + 1, conductor[p]),) + m[p + 1:]
+                if not any(all(map(ge, u, q)) for u in top):
+                    return "property (2) fails at alpha=%r, beta=%r, coordinate %d" % (
+                        list(a), list(b), p + 1)
     return None
 
 
@@ -92,8 +101,8 @@ def is_good(d, conductor, small_elements):
 
     Returns (True, None) or (False, message) naming the lexicographically
     first violation.  Conductor minimality is not part of the axioms and is
-    not required here; the GoodSemigroup constructor does enforce it.
-    Raises DomainError when the padded conductor box exceeds MAX_GRID_CELLS.
+    not required here; the GoodSemigroup constructor does enforce it.  Any
+    conductor box is accepted: the checks follow the members.
     """
     d = int(d)
     if d < 1:
@@ -264,7 +273,7 @@ def _glued_order(S):
     from .mult_tree import semigroup_to_tree
 
     split = {(j, h): semigroup_to_tree(_project(S, (j, h))).splits[0]
-             for j, h in itertools.combinations(range(S.d), 2)}
+             for j, h in combinations(range(S.d), 2)}
     return sorted(range(S.d), key=lambda j: [-split[min(j, h), max(j, h)] if h != j
                                              else -inf for h in range(S.d)])
 

@@ -131,12 +131,23 @@ def test_huge_generator_with_small_conductor(capsys):
 
 
 def test_cli_import_loads_no_numpy():
+    # importing the CLI, checking the axioms and reading a semigroup literal
+    # all run without numpy
     src = os.path.dirname(os.path.dirname(os.path.abspath(arfcurves.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    subprocess.run([sys.executable, "-c",
-                    "import arfcurves.cli, sys; assert 'numpy' not in sys.modules"],
-                   env=env, check=True)
+    script = """
+import sys
+import arfcurves.cli
+assert 'numpy' not in sys.modules, 'import'
+for argv in (["check"], ["tree", "from-semigroup"], ["chars", "build"]):
+    assert arfcurves.cli.main(argv + [sys.argv[1]]) == 0, argv
+    assert 'numpy' not in sys.modules, argv
+"""
+    result = subprocess.run([sys.executable, "-c", script, EX1], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("\n") == 3
 
 
 def test_tree_semigroup_round_trip(capsys):
@@ -264,11 +275,21 @@ def test_exit_codes(capsys):
     assert run(capsys, "curve", "tree", '{"d":2,"generators":[["t","u"]]}')[0] == 1
     assert run(capsys, "unseq", '{"steps":[4,2]}')[0] == 2
     assert run(capsys, "curve", "values", CURVE_B, "--bound", "4;2")[0] == 2
+    # the axiom checks follow the members, so a huge conductor box costs
+    # nothing; the Arf check refuses a conductor above its limit
     huge = '{"d":2,"conductor":[100000,100000],"small_elements":[[0,0],[100000,100000]]}'
-    code = main(["check", huge])
+    start = time.perf_counter()
+    code, out = run(capsys, "check", huge)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out == '{"is_arf":true,"is_good":true,"is_local":true,"reason":null}\n'
+    beyond = json.dumps({"d": 3, "conductor": [2000000] * 3,
+                         "small_elements": [[0] * 3, [2000000] * 3]})
+    code = main(["check", beyond])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
+    assert "the conductor exceeds the limit of 1048576" in captured.err
     assert "Traceback" not in captured.err
 
 
