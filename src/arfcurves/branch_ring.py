@@ -6,21 +6,14 @@ A curve with d branches is presented as the complete local algebra
 
 with every generator a SeriesTuple of exact truncated series and zero
 constant terms.  All invariants are derived from values: the value of a
-nonzerodivisor is its componentwise order, and the value set of A is
-computed by saturating a finite basis of elements indexed by their values
-capped at a bound box.  Within the box [0, bound], a component order above
-bound_j and an identically zero component carry the same information, so
-both are stored as the sentinel bound_j + 1; keys that are sentinels in
-every component are discarded.  Terms of degree above bound_j never reach
-such a key, so every saturation runs on generators cut to bound + 1.
-
-The saturation closes the basis under multiplication by the generators,
-leading-term eliminations and componentwise minima, each minimum one sum
-f + lambda*g with the first lambda in 1..d+1 that keeps it (`_min_sum`,
-shared with `blowup`).  Inserting an element reduces it against the basis
-entry with the same key, so collisions surface the deeper values created
-by cancellation, for example v(t^6+t^7) = 6 and
-v((t^6+t^7)^2 - (t^4)^3) = 13.
+nonzerodivisor is its componentwise order.  Values inside the box
+[0, bound] see no term of degree above bound_j, so `value_set` works in the
+image W of A in prod_j k[t_j]/(t_j^(bound_j + 1)), on generators cut to
+bound + 1.  One pass builds an echelon basis of W, of dimension at most
+sum_j (bound_j + 1); a second reads the values off its pivots by Delgado's
+dimension criterion (Campillo, Delgado and Kiyek 1994).  Values created by
+cancellation, for example v((t^6+t^7)^2 - (t^4)^3) = 13, are pivots like
+any other.
 
 Blowing up divides the maximal ideal by an element of minimal value, and
 iterated blowups assemble the multiplicity tree: at each level every still
@@ -35,6 +28,7 @@ Every computation is exact below the truncation order and fails loudly
 (TruncationError) rather than extrapolate past it.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import (DomainError, InputError, TruncationError, ValidationError,
@@ -127,9 +121,9 @@ def _cut(element, bound):
 
     Orders are never negative, so a term of degree <= bound_j of a product
     or of a linear step f + c*g depends only on operand terms of degree
-    <= bound_j.  Saturating cut generators therefore inserts the same keys
-    in the same order, and raises the same TruncationErrors, as saturating
-    the full-precision ones.
+    <= bound_j: cutting is a ring map onto prod_j k[t_j]/(t_j^(bound_j + 1)),
+    and cut generators decide every value in the box that the
+    full-precision ones decide.
     """
     cut = []
     for component, b in zip(element.components, bound):
@@ -156,76 +150,130 @@ def _min_sum(f, g, bound):
                 if _capped_key(s, bound) == target)
 
 
-def _saturate(algebra, bound):
-    """Value-indexed basis of the algebra, complete within [0, bound].
+def _lead(element):
+    """(branch, order) of the first nonzero component, or None for zero."""
+    return next(((j, c.order()) for j, c in enumerate(element.components) if c.numerators),
+                None)
 
-    The generators are first cut to bound+1 (see `_cut`), so the cost does
-    not grow with the truncation order; the basis elements only serve
-    their keys and are not fit for division.
 
-    Each basis element is multiplied by each cut generator once, never by
-    another basis element.  Cutting at bound+1 is a ring map onto
-    prod_j k[t_j]/(t_j^(bound_j + 1)), and a key is `big` exactly when the
-    image is 0, so the basis spans the image of everything inserted.  That
-    span contains 1 and is closed under multiplication by every generator,
-    so it is the image of the whole algebra.
+def _reduce(element, echelon):
+    """(lead, remainder) of the element reduced against an echelon {lead: row}
+    until its lead is no pivot; the lead is None when it reduced to zero."""
+    while True:
+        lead = _lead(element)
+        row = echelon.get(lead)
+        if row is None:
+            return lead, element
+        element = _eliminate(element, row, *lead)
 
-    A missing minimum of f1, f2 takes one sum, `_min_sum(f1, f2)`, and the
-    other lambdas in 1..d+1 add no key.  A lambda that cancels the leading
-    term on a branch j where the orders agree gives exactly f1 - mu_j*f2,
-    the elimination inserted anyway.  A second lambda that keeps the
-    minimum reduces against the first to a multiple of f1 or f2, which
-    reduces to zero, or to a multiple of that same elimination element.
+
+def _tail(element):
+    """The element without its first branch."""
+    return SeriesTuple(element.components[1:])
+
+
+def _span(algebra, bound):
+    """Echelon basis {lead: row} of the image W of the algebra in
+    prod_j k[t_j]/(t_j^(bound_j + 1)), leads (branch, order) branch-major.
+
+    Cutting at bound+1 is that ring map (see `_cut`), so every cut element
+    is exact there.  Each new row queues its product with each cut
+    generator, and each queued element is reduced into the span, so the
+    span holds 1 and is closed under multiplication by the generators: it
+    is W.  Its dimension is at most sum_j (bound_j + 1).
     """
-    d = algebra.d
-    big = tuple(b + 1 for b in bound)
-    basis = {}
-
-    def insert(element):
-        while True:
-            key = _capped_key(element, bound)
-            if key == big:
-                return False
-            existing = basis.get(key)
-            if existing is None:
-                basis[key] = element
-                return True
-            # same key: cancel the leading term of the first finite
-            # component; the key strictly increases, so this terminates
-            j = next(i for i in range(d) if key[i] <= bound[i])
-            # a vanished element has key big when its truncation decides
-            # the box, and raises otherwise
-            element = _eliminate(element, existing, j, key[j])
-
     generators = [_cut(g, bound) for g in algebra.generators]
-    insert(SeriesTuple.constant(1, d))
-    for g in generators:
-        insert(g)
+    echelon = {}
+    queue = [_cut(SeriesTuple.constant(1, algebra.d), bound)]
+    while queue:
+        lead, row = _reduce(queue.pop(), echelon)
+        if lead is not None:
+            echelon[lead] = row
+            queue.extend(_cut(row * g, bound) for g in generators)
+    return echelon
 
-    multiplied = set()
-    processed = set()
-    grew = True
-    while grew:
-        grew = False
-        items = sorted(basis.items())
-        for k1, f1 in items:
-            if k1 not in multiplied:
-                multiplied.add(k1)
-                for g in generators:
-                    grew |= insert(f1 * g)
-        for i1, (k1, f1) in enumerate(items):
-            for k2, f2 in items[i1 + 1:]:
-                if (k1, k2) in processed:
-                    continue
-                processed.add((k1, k2))
-                min_key = tuple(map(min, k1, k2))
-                if min_key not in basis:
-                    grew |= insert(_min_sum(f1, f2, bound))
-                for j in range(d):
-                    if k1[j] == k2[j] and k1[j] <= bound[j]:
-                        grew |= insert(_eliminate(f1, f2, j, k1[j]))
 
-    return basis
+class _Slices:
+    """The span T of an echelon on some trailing branches, and its slices.
+
+    T_a, the elements of T of order >= a on the first branch, is spanned by
+    the rows of first-branch lead >= a and the rows that vanish there,
+    because the leads are distinct.  The projections pi(T_a) to the other
+    branches are built on first use, for descending pivots a, each from
+    pi(T_(a+1)) and the row r_a reduced against it.
+    """
+
+    __slots__ = ("branches", "echelon", "_pivots", "_slices", "_values")
+
+    def __init__(self, branches, echelon):
+        self.branches = branches
+        self.echelon = echelon
+        self._pivots = None
+        self._values = None
+
+    def _by_pivot(self):
+        """Ascending pivots a, and per pivot pi(T_a) with pi(r_a) reduced
+        against pi(T_(a+1)) as (lead, remainder); last, pi of the rows that
+        vanish on the first branch."""
+        if self._pivots is None:
+            above = _Slices(self.branches - 1, {(j - 1, e): _tail(row)
+                                                for (j, e), row in self.echelon.items() if j})
+            self._pivots = sorted(e for j, e in self.echelon if j == 0)
+            self._slices = [(above, None, None)]
+            for a in reversed(self._pivots):
+                lead, rest = _reduce(_tail(self.echelon[0, a]), above.echelon)
+                if lead is not None:
+                    above = _Slices(above.branches, {**above.echelon, lead: rest})
+                self._slices.append((above, lead, rest))
+            self._slices.reverse()
+        return self._pivots, self._slices
+
+    def sliced(self, a):
+        """pi(T_a), for any natural number a."""
+        pivots, slices = self._by_pivot()
+        return slices[bisect_left(pivots, a)][0]
+
+    def values(self):
+        """The alpha at which no coefficient t_j^(alpha_j) vanishes on T(alpha)."""
+        if self._values is None:
+            if self.branches == 1:
+                self._values = {(e,) for _, e in self.echelon}
+            else:
+                pivots, slices = self._by_pivot()
+                self._values = set()
+                for a, (below, lead, rest), (above, _, _) in zip(pivots, slices, slices[1:]):
+                    self._values.update((a,) + beta for beta in
+                                        _reaching(lead, rest, above, below.values()))
+        return self._values
+
+
+def _reaching(lead, rest, space, candidates):
+    """The beta among `candidates` with r in space + M_beta, where M_beta
+    holds the elements of order >= beta_j on every branch j; `rest` is r
+    reduced against the echelon of the space, and `lead` its lead.
+
+    When the lead lies on the first branch at order e, no element of the
+    space has order e there, so beta_0 <= e is needed.  Then r lies in
+    space + M_beta exactly when pi(rest) lies in pi(space_(beta_0)) +
+    M_(beta without beta_0): the rows used after the first-branch order
+    reached beta_0 lie in space_(beta_0).
+    """
+    if lead is None:
+        return candidates
+    j, e = lead
+    if j == 0:
+        candidates = [beta for beta in candidates if beta[0] <= e]
+    if space.branches == 1:
+        return candidates
+    by_first = {}
+    for beta in candidates:
+        by_first.setdefault(beta[0], []).append(beta[1:])
+    reached = []
+    for first, tails in by_first.items():
+        sliced = space.sliced(first)
+        sublead, subrest = _reduce(_tail(rest), sliced.echelon)
+        reached.extend((first,) + beta for beta in _reaching(sublead, subrest, sliced, tails))
+    return reached
 
 
 def _fm_bound(algebra):
@@ -276,7 +324,30 @@ def is_local_ring(algebra):
 
 
 def value_set(algebra, bound):
-    """All values of nonzerodivisors inside the box [0, bound], as tuples."""
+    """All values of nonzerodivisors inside the box [0, bound], as tuples.
+
+    `_span` builds an echelon basis of W, the image of the algebra in
+    prod_j k[t_j]/(t_j^(bound_j + 1)).  alpha is a value exactly when, for
+    every branch j, the coefficient of t_j^alpha_j does not vanish on
+    W(alpha) = {w in W : ord_i w >= alpha_i for all i}: over an infinite
+    field a space is no finite union of proper subspaces, so one element of
+    W(alpha) has order alpha.
+
+    The values are read off the pivots, recursing on the first branch
+    (`_Slices`).  Let r_a be the row of first-branch lead a, W_a the
+    elements of W of order >= a there, and pi the projection to the other
+    branches.  (a, beta) is a value exactly when
+      - a is a pivot, since otherwise W_a = W_(a+1);
+      - beta is a value of pi(W_a), which covers the other branches; and
+      - pi(r_a) lies in pi(W_(a+1)) + M_beta, where M_beta holds the
+        elements of order >= beta: that gives an element of W(a, beta) of
+        order a on the first branch (`_reaching`).
+    On the last two branches this reads: the values at a are the pivots c
+    of pi(W_a) with c <= n_a, where n_a is the order of pi(r_a) reduced
+    against the pivots of pi(W_(a+1)), and every pivot when it reduces to
+    zero.  No step scans or allocates the box: the work follows dim W and
+    the values of the slices.
+    """
     if isinstance(bound, int):
         bound = (bound,)
     bound = tuple(int(b) for b in bound)
@@ -292,16 +363,15 @@ def value_set(algebra, bound):
                     "rerun with truncation order at least %d"
                     % (g.components[j].truncation, bound[j], j + 1, bound[j] + 1)
                 )
-    basis = _saturate(algebra, bound)
-    return {key for key in basis if all(key[j] <= bound[j] for j in range(algebra.d))}
+    return _Slices(algebra.d, _span(algebra, bound)).values()
 
 
 def blowup(algebra):
     """The algebra of the maximal ideal divided by an element x of minimal value.
 
     x is the first generator of value fm_bound, or else the generators
-    folded into one by `_min_sum`, the minimum rule of `_saturate`: each
-    fold x + lambda*g keeps the componentwise minimum of the values.  A
+    folded into one by `_min_sum`: each fold x + lambda*g keeps the
+    componentwise minimum of the values.  A
     generator is preferred because a folded x is dense and slows every
     division by it.
     """

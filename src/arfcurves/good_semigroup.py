@@ -101,8 +101,9 @@ def is_good(d, conductor, small_elements):
 
     Returns (True, None) or (False, message) naming the lexicographically
     first violation.  Conductor minimality is not part of the axioms and is
-    not required here; the GoodSemigroup constructor does enforce it.  Any
-    conductor box is accepted: the checks follow the members.
+    not required here; the GoodSemigroup constructor enforces it, and
+    `require_minimal_conductor` checks it alone.  Any conductor box is
+    accepted: the checks follow the members.
     """
     d = int(d)
     if d < 1:
@@ -133,14 +134,16 @@ class GoodSemigroup:
             message = _axiom_failure(self.d, self.conductor, self.small_elements)
             if message is not None:
                 raise ValidationError(message)
-            for j in range(self.d):
-                if self.conductor[j] > 0:
-                    down = tuple(c - (1 if h == j else 0)
-                                 for h, c in enumerate(self.conductor))
-                    if down in self._small_set:
-                        raise ValidationError(
-                            "conductor is not componentwise minimal: "
-                            "coordinate %d can decrease" % (j + 1,))
+            self.require_minimal_conductor()
+
+    def require_minimal_conductor(self):
+        """Raise ValidationError when a conductor coordinate can decrease."""
+        for j in range(self.d):
+            if self.conductor[j] > 0:
+                down = tuple(c - (1 if h == j else 0) for h, c in enumerate(self.conductor))
+                if down in self._small_set:
+                    raise ValidationError("conductor is not componentwise minimal: "
+                                          "coordinate %d can decrease" % (j + 1,))
 
     def contains(self, alpha):
         vec = _as_vector(alpha, self.d)

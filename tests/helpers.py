@@ -13,6 +13,7 @@ from arfcurves.mult_tree import (MultiplicityTree, tree_intersection,
                                  tree_to_semigroup)
 from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_closure,
                                  semigroup_to_seq)
+from arfcurves.series import SeriesTuple
 
 
 def xyz_closure_oracle(generators):
@@ -263,6 +264,89 @@ def good_axioms_oracle(d, conductor, small):
     return None
 
 
+def saturation_basis(algebra, bound):
+    """Value-indexed basis of the algebra, complete within [0, bound].
+
+    Keys are componentwise orders capped at bound+1, the sentinel for an
+    order beyond the box or a zero component.  As an oracle for
+    `value_set`, this closure over keys counts no dimensions and shares
+    only `_cut` and `_eliminate` with it.
+
+    The generators are first cut to bound+1 (see `_cut`), so the cost does
+    not grow with the truncation order; the basis elements only serve
+    their keys and are not fit for division.
+
+    Each basis element is multiplied by each cut generator once, never by
+    another basis element.  Cutting at bound+1 is a ring map onto
+    prod_j k[t_j]/(t_j^(bound_j + 1)), and a key is `big` exactly when the
+    image is 0, so the basis spans the image of everything inserted.  That
+    span contains 1 and is closed under multiplication by every generator,
+    so it is the image of the whole algebra.
+
+    A missing minimum of f1, f2 takes one sum, `_min_sum(f1, f2)`, and the
+    other lambdas in 1..d+1 add no key.  A lambda that cancels the leading
+    term on a branch j where the orders agree gives exactly f1 - mu_j*f2,
+    the elimination inserted anyway.  A second lambda that keeps the
+    minimum reduces against the first to a multiple of f1 or f2, which
+    reduces to zero, or to a multiple of that same elimination element.
+    """
+    d = algebra.d
+    big = tuple(b + 1 for b in bound)
+    basis = {}
+
+    def insert(element):
+        while True:
+            key = branch_ring._capped_key(element, bound)
+            if key == big:
+                return False
+            existing = basis.get(key)
+            if existing is None:
+                basis[key] = element
+                return True
+            # same key: cancel the leading term of the first finite
+            # component; the key strictly increases, so this terminates
+            j = next(i for i in range(d) if key[i] <= bound[i])
+            # a vanished element has key big when its truncation decides
+            # the box, and raises otherwise
+            element = branch_ring._eliminate(element, existing, j, key[j])
+
+    generators = [branch_ring._cut(g, bound) for g in algebra.generators]
+    insert(SeriesTuple.constant(1, d))
+    for g in generators:
+        insert(g)
+
+    multiplied = set()
+    processed = set()
+    grew = True
+    while grew:
+        grew = False
+        items = sorted(basis.items())
+        for k1, f1 in items:
+            if k1 not in multiplied:
+                multiplied.add(k1)
+                for g in generators:
+                    grew |= insert(f1 * g)
+        for i1, (k1, f1) in enumerate(items):
+            for k2, f2 in items[i1 + 1:]:
+                if (k1, k2) in processed:
+                    continue
+                processed.add((k1, k2))
+                min_key = tuple(map(min, k1, k2))
+                if min_key not in basis:
+                    grew |= insert(branch_ring._min_sum(f1, f2, bound))
+                for j in range(d):
+                    if k1[j] == k2[j] and k1[j] <= bound[j]:
+                        grew |= insert(branch_ring._eliminate(f1, f2, j, k1[j]))
+
+    return basis
+
+
+def saturation_value_set_oracle(algebra, bound):
+    """Values of a curve algebra inside the box [0, bound], by saturation."""
+    return {key for key in saturation_basis(algebra, bound)
+            if all(k <= b for k, b in zip(key, bound))}
+
+
 def saturation_partition_oracle(algebra):
     """Group the branches into the local components of the algebra.
 
@@ -274,7 +358,7 @@ def saturation_partition_oracle(algebra):
     saturation at fm_bound decides them.  Groups are ordered by first
     member, members by index.
     """
-    basis = branch_ring._saturate(algebra, branch_ring._fm_bound(algebra))
+    basis = saturation_basis(algebra, branch_ring._fm_bound(algebra))
     groups = {}
     for j in range(algebra.d):
         groups.setdefault(tuple(key[j] == 0 for key in basis), []).append(j)
@@ -303,7 +387,7 @@ def pairwise_partition_oracle(algebra):
             if find(a) == find(b):
                 continue
             pair = branch_ring._restricted(algebra, [a, b])
-            basis = branch_ring._saturate(pair, branch_ring._fm_bound(pair))
+            basis = saturation_basis(pair, branch_ring._fm_bound(pair))
             if all((key[0] == 0) == (key[1] == 0) for key in basis):
                 parent[find(b)] = find(a)
 
@@ -316,10 +400,13 @@ def pairwise_partition_oracle(algebra):
 def value_set_oracle(algebra, bound):
     """Values of a curve algebra inside the box [0, bound], by linear algebra.
 
-    Shares nothing with the saturation.  The generators (no constant terms)
-    are cut at bound+1 as dense coefficient lists, and their products span
-    the algebra modulo the elements whose order passes the box on every
-    branch; a product that passes it is dropped with its multiples.  alpha
+    Shares its criterion with `value_set` but not its algorithm: it tests
+    every point of the box on dense Fraction rows, where `value_set` reads
+    the pivots of one echelon basis and never visits the box.  The
+    generators (no constant terms) are cut at bound+1 as dense coefficient
+    lists, and their products span the algebra modulo the elements whose
+    order passes the box on every branch; a product that passes it is
+    dropped with its multiples.  alpha
     is a value iff no alpha_j-th coefficient of branch j vanishes on
     W_alpha, the part of that span whose coefficients below alpha_j vanish
     on every branch j: over an infinite field a space is no finite union of

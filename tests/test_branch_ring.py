@@ -1,6 +1,8 @@
 import random
+import time
+from collections import Counter
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 from unittest import mock
 
 import pytest
@@ -19,7 +21,8 @@ from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_c
                                  semigroup_to_seq)
 from arfcurves.series import SeriesTuple, TruncatedSeries, parse_series
 
-from helpers import (pairwise_partition_oracle, saturation_partition_oracle,
+from helpers import (pairwise_partition_oracle, saturation_basis,
+                     saturation_partition_oracle, saturation_value_set_oracle,
                      value_set_oracle)
 
 
@@ -251,18 +254,12 @@ def test_identical_branches_fail_before_the_first_blowup():
             multiplicity_tree_of_curve(twins)
 
 
-def saturation_inputs(algebra, bounds=()):
-    """Every (algebra, bound) that _saturate sees while the multiplicity tree
-    of `algebra` grows and while its value sets within `bounds` are taken,
-    every (algebra, partition) that _partition returns, every verdict
-    of is_local_ring, and the walk's TruncationError, if any."""
-    seen = {"saturate": [], "partition": [], "local": [], "error": None}
-    saturate, partition, local = (branch_ring._saturate, branch_ring._partition,
-                                  branch_ring.is_local_ring)
-
-    def record_saturate(candidate, bound):
-        seen["saturate"].append((candidate, bound))
-        return saturate(candidate, bound)
+def walk_inputs(algebra):
+    """Every (algebra, partition) that _partition returns while the
+    multiplicity tree of `algebra` grows, every verdict of is_local_ring,
+    and the walk's TruncationError, if any."""
+    seen = {"partition": [], "local": [], "error": None}
+    partition, local = branch_ring._partition, branch_ring.is_local_ring
 
     def record_partition(candidate):
         parts = partition(candidate)
@@ -274,25 +271,23 @@ def saturation_inputs(algebra, bounds=()):
         seen["local"].append(verdict)
         return verdict
 
-    with mock.patch.object(branch_ring, "_saturate", record_saturate), \
-            mock.patch.object(branch_ring, "_partition", record_partition), \
+    with mock.patch.object(branch_ring, "_partition", record_partition), \
             mock.patch.object(branch_ring, "is_local_ring", record_local):
         try:
             multiplicity_tree_of_curve(algebra)
         except TruncationError as exc:
             seen["error"] = str(exc)
-        for bound in bounds:
-            value_set(algebra, bound)
     return seen
 
 
 def saturation_outcome(algebra, bound, full):
-    """Keys in insertion order, or the TruncationError message; with `full`
-    the generators are saturated uncut, as the precision reference."""
+    """Keys of the saturation oracle in insertion order, or the
+    TruncationError message; with `full` the generators are saturated
+    uncut, as the precision reference."""
     cut = (lambda element, bound: element) if full else branch_ring._cut
     try:
         with mock.patch.object(branch_ring, "_cut", cut):
-            return list(branch_ring._saturate(algebra, bound))
+            return list(saturation_basis(algebra, bound))
     except TruncationError as exc:
         return str(exc)
 
@@ -306,16 +301,16 @@ def oracle_partition(oracle, algebra):
 
 
 def assert_one_basis_matches(algebra, bounds=()):
-    """Each cut saturation inserts the keys of the full-precision one, in the
-    same order, and _partition finds the components that the saturation and
-    pairwise oracles find wherever they decide them.  Returns the seen
-    inputs with the partitions that both oracles decided."""
-    seen = saturation_inputs(algebra, bounds)
-    # the tree walk saturates nothing; each value set saturates once
-    assert [bound for _, bound in seen["saturate"]] == list(bounds)
-    for candidate, bound in seen["saturate"]:
-        assert saturation_outcome(candidate, bound, False) == saturation_outcome(
-            candidate, bound, True)
+    """In each box of `bounds`, the cut saturation oracle inserts the keys of
+    the full-precision one, in the same order, and value_set agrees with
+    it; _partition finds the components that the saturation and pairwise
+    oracles find wherever they decide them.  Returns the walk's inputs with
+    the partitions that both oracles decided."""
+    for bound in bounds:
+        assert saturation_outcome(algebra, bound, False) == saturation_outcome(
+            algebra, bound, True)
+        assert value_set(algebra, bound) == saturation_value_set_oracle(algebra, bound)
+    seen = walk_inputs(algebra)
     seen["decided"] = []
     for candidate, parts in seen["partition"]:
         expected = [oracle_partition(oracle, candidate)
@@ -361,10 +356,10 @@ def test_cut_saturation_matches_full_on_plane_curves(algebra):
     assert_one_basis_matches(algebra, [(6,) * algebra.d])
 
 
-def random_curve(rng):
-    """2-4 branches at truncation 12-48; each component is 0 or 1-3 terms
-    of degree 1-8, and every branch has a nonzero component."""
-    d = rng.randint(2, 4)
+def random_curve(rng, min_branches=2):
+    """min_branches-4 branches at truncation 12-48; each component is 0 or
+    1-3 terms of degree 1-8, and every branch has a nonzero component."""
+    d = rng.randint(min_branches, 4)
 
     def component(s):
         if rng.random() <= 0.2:
@@ -410,11 +405,64 @@ def test_value_set_matches_linear_algebra_oracle_on_plane_curves(algebra):
     assert value_set(algebra, bound) == value_set_oracle(algebra, bound)
 
 
+# three branches with 150 values in the box 14^3
+THREE = curve(["t^3", "u", "v"], ["2t^7+t^8", "2u^4+u^5", "-v^3+v^4"])
+
+
 def test_value_set_matches_linear_algebra_oracle_on_three_branches():
-    algebra = curve(["t^3", "u", "v"], ["2t^7+t^8", "2u^4+u^5", "-v^3+v^4"])
-    values = value_set(algebra, (8, 8, 8))
+    values = value_set(THREE, (8, 8, 8))
     assert len(values) == 14
-    assert values == value_set_oracle(algebra, (8, 8, 8))
+    assert values == value_set_oracle(THREE, (8, 8, 8))
+
+
+def test_value_set_of_three_branches_follows_the_output():
+    start = time.perf_counter()
+    values = value_set(THREE, (14, 14, 14))
+    assert time.perf_counter() - start < 2
+    assert len(values) == 150
+    values = value_set(THREE, (12, 12, 12))
+    assert len(values) == 41
+    assert values == saturation_value_set_oracle(THREE, (12, 12, 12))
+
+
+def test_value_set_matches_saturation_oracle_on_random_curves():
+    rng = random.Random(2024)
+    drawn, nontrivial = Counter(), 0
+    for _ in range(300):
+        algebra = random_curve(rng, min_branches=1)
+        # the oracle's work grows with the square of the number of values,
+        # so the box holds at most 300 points; one side still reaches 9
+        while True:
+            bound = tuple(rng.randint(1, 9) for _ in range(algebra.d))
+            if prod(b + 1 for b in bound) <= 300:
+                break
+        values = value_set(algebra, bound)
+        assert values == saturation_value_set_oracle(algebra, bound)
+        drawn[algebra.d] += 1
+        nontrivial += len(values) > 2
+    assert sorted(drawn) == [1, 2, 3, 4] and nontrivial > 150
+
+
+def blown_up_algebras(algebra):
+    """Every algebra that blowup returns while the tree of `algebra` grows."""
+    blown = []
+    real = branch_ring.blowup
+    with mock.patch.object(branch_ring, "blowup",
+                           side_effect=lambda a: blown.append(real(a)) or blown[-1]):
+        multiplicity_tree_of_curve(algebra)
+    return blown
+
+
+def test_value_set_matches_saturation_oracle_on_blowups():
+    nonlocal_boxes = 0
+    for algebra, _ in GOLDEN_BOXES:
+        for blown in blown_up_algebras(algebra):
+            bound = tuple(min(5, min(g.components[j].truncation for g in blown.generators) - 1)
+                          for j in range(blown.d))
+            values = value_set(blown, bound)
+            assert values == saturation_value_set_oracle(blown, bound)
+            nonlocal_boxes += not is_local_ring(blown)
+    assert nonlocal_boxes >= 10
 
 
 def test_one_lambda_per_minimum():
@@ -437,6 +485,8 @@ def test_cut_keeps_truncation_errors():
     message = saturation_outcome(SHALLOW, (3, 2), False)
     assert "cannot decide values up to 3 on branch 1" in message
     assert saturation_outcome(SHALLOW, (3, 2), True) == message
+    with pytest.raises(TruncationError, match="rerun with truncation order at least 4"):
+        value_set(SHALLOW, (3, 2))
 
 
 def test_locality_needs_only_constant_terms():
@@ -543,9 +593,10 @@ def test_results_stable_under_truncation_doubling():
         coarse = curve(*generators, truncation=64)
         fine = curve(*generators, truncation=128)
         assert multiplicity_tree_of_curve(coarse) == multiplicity_tree_of_curve(fine)
-    coarse = {key[0] for key in value_set(curve(["t^4"], ["t^6+t^7"]), 20)}
-    fine = {key[0] for key in value_set(curve(["t^4"], ["t^6+t^7"], truncation=128), 20)}
-    assert coarse == fine
+    for algebra, bound in GOLDEN_BOXES + ((THREE, (10, 10, 10)),):
+        data = curve_to_dict(algebra)
+        data["truncation"] *= 2
+        assert value_set(curve_from_dict(data), bound) == value_set(algebra, bound)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
 import arfcurves
+from arfcurves import good_semigroup
 from arfcurves.cli import main
 from arfcurves.mult_tree import MultiplicityTree, tree_to_dict
 
@@ -67,6 +69,25 @@ def test_check_reports_status(capsys):
     assert report["is_good"] is False
     assert report["is_local"] is None and report["is_arf"] is None
     assert report["reason"]
+
+
+def test_check_runs_the_axiom_check_once(capsys):
+    not_good = '{"d":2,"conductor":[2,3],"small_elements":[[0,0],[1,1],[2,3]]}'
+    # good, but the conductor 4 would do as well as 5
+    loose = '{"d":1,"conductor":[5],"small_elements":[[0],[4],[5]]}'
+    cases = (
+        (EX1, 0, '{"is_arf":true,"is_good":true,"is_local":true,"reason":null}\n', ""),
+        (not_good, 0, '{"is_arf":null,"is_good":false,"is_local":null,"reason":'
+                      '"not closed under addition: [1, 1] + [1, 1] is missing"}\n', ""),
+        (loose, 1, "", "error: conductor is not componentwise minimal: "
+                       "coordinate 1 can decrease\n"),
+    )
+    real = good_semigroup._axiom_failure
+    for literal, code, out, err in cases:
+        with mock.patch.object(good_semigroup, "_axiom_failure", side_effect=real) as axioms:
+            assert main(["check", literal]) == code
+        assert axioms.call_count == 1
+        assert capsys.readouterr() == (out, err)
 
 
 def test_check_natural_numbers_squared(capsys):
