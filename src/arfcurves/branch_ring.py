@@ -37,6 +37,8 @@ from .mult_tree import MultiplicityTree, canonical_form, tree_to_semigroup
 from .series import SeriesTuple, TruncatedSeries, parse_series
 
 DEFAULT_TRUNCATION = 64
+# the same limit as the conductors: larger orders are refused up front
+MAX_TRUNCATION = 2 ** 20
 
 _DEFAULT_VARIABLES = ("t", "u", "v", "w")
 
@@ -495,7 +497,8 @@ def curve_from_dict(data):
         {"d": 2, "variables": ["t", "u"], "truncation": 64,
          "generators": [["t^4", "u^2"], ["t^6+t^7", "u^5"]]}
 
-    `variables` defaults to t, u, v, w, ... and `truncation` to 64.  Every
+    `variables` defaults to t, u, v, w, ... and `truncation` to 64; a
+    truncation above MAX_TRUNCATION is refused with a DomainError.  Every
     generator component is parsed in its branch variable.
     """
     if not isinstance(data, dict) or "d" not in data or "generators" not in data:
@@ -512,6 +515,8 @@ def curve_from_dict(data):
     truncation = literal_int(data.get("truncation", DEFAULT_TRUNCATION), "truncation")
     if truncation <= 0:
         raise InputError("truncation must be positive, got %d" % truncation)
+    if truncation > MAX_TRUNCATION:
+        raise DomainError("the truncation order exceeds the limit of %d" % MAX_TRUNCATION)
     generators = data["generators"]
     if not isinstance(generators, (list, tuple)) or not generators:
         raise InputError("generators must be a non-empty list")

@@ -11,20 +11,7 @@ import argparse
 import json
 import sys
 
-from .branch_ring import (arf_closure_value_semigroup, curve_from_dict,
-                          curves_equivalent, multiplicity_tree_of_curve, value_set)
-from .char_vectors import (build_character_vectors, charset_from_dict,
-                           charset_to_dict, reduce_characters,
-                           smallest_arf_containing)
 from .errors import DomainError, InputError, literal_ints
-from .good_semigroup import (GoodSemigroup, good_from_dict, good_literal,
-                             good_to_dict, is_arf_good, is_good, is_local)
-from .mult_tree import (render_ascii, render_dot, semigroup_to_tree,
-                        tree_from_dict, tree_intersection, tree_to_dict,
-                        tree_to_semigroup)
-from .numerical import (MultiplicitySequence, arf_characters, arf_closure,
-                        is_arf, semigroup_from_dict, semigroup_to_dict,
-                        semigroup_to_seq, seq_to_semigroup)
 
 
 def dumps(payload):
@@ -33,20 +20,23 @@ def dumps(payload):
 
 def read_json(source):
     """JSON object from a path, an inline literal, or stdin when `-`."""
-    if source == "-":
-        text = sys.stdin.read()
-    elif source.lstrip().startswith("{"):
+    if source.lstrip().startswith("{"):
         text = source
     else:
         try:
-            with open(source, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
+            if source == "-":
+                text = sys.stdin.read()
+            else:
+                with open(source, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError("cannot read %r: %s" % (source, exc))
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("invalid JSON in %r: %s" % (source, exc))
+    except RecursionError:
+        raise InputError("invalid JSON in %r: nested too deeply" % (source,))
     if not isinstance(data, dict):
         raise InputError("expected a JSON object in %r" % (source,))
     return data
@@ -60,6 +50,8 @@ def _require(data, keys, what):
 
 
 def read_numerical(source):
+    from .numerical import semigroup_from_dict
+
     data = read_json(source)
     if "generators" not in data and not (
             "conductor" in data and "small_elements" in data):
@@ -69,19 +61,27 @@ def read_numerical(source):
 
 
 def read_good(source):
+    from .good_semigroup import good_from_dict
+
     return good_from_dict(
         _require(read_json(source), ("d", "conductor", "small_elements"), "semigroup"))
 
 
 def read_tree(source):
+    from .mult_tree import tree_from_dict
+
     return tree_from_dict(_require(read_json(source), ("d", "nodes"), "tree"))
 
 
 def read_charset(source):
+    from .char_vectors import charset_from_dict
+
     return charset_from_dict(_require(read_json(source), ("d", "vectors"), "character-set"))
 
 
 def read_curve(source, truncation=None):
+    from .branch_ring import curve_from_dict
+
     data = read_json(source)
     if truncation is not None:
         data = dict(data, truncation=truncation)
@@ -106,6 +106,8 @@ def parse_witness(text):
 
 
 def render_tree(tree, form):
+    from .mult_tree import render_ascii, render_dot, tree_to_dict
+
     if form == "ascii":
         return render_ascii(tree)
     if form == "dot":
@@ -120,6 +122,8 @@ def closed(S):
     of its blowup chain, which the Arf closure shares, so both commands
     accept any numerical semigroup.
     """
+    from .numerical import arf_closure, is_arf
+
     if is_arf(S):
         return S
     multiplicity = S.small_elements[1] if len(S.small_elements) > 1 else 1
@@ -129,25 +133,35 @@ def closed(S):
 
 
 def cmd_closure(args):
+    from .numerical import arf_closure, semigroup_to_dict
+
     return dumps(semigroup_to_dict(arf_closure(args.generators)))
 
 
 def cmd_seq(args):
+    from .numerical import semigroup_to_seq
+
     seq = semigroup_to_seq(closed(read_numerical(args.input)))
     return dumps({"prefix": list(seq.prefix)})
 
 
 def cmd_unseq(args):
+    from .numerical import MultiplicitySequence, semigroup_to_dict, seq_to_semigroup
+
     data = _require(read_json(args.input), ("prefix",), "sequence")
     prefix = literal_ints(data["prefix"], "prefix")
     return dumps(semigroup_to_dict(seq_to_semigroup(MultiplicitySequence(prefix))))
 
 
 def cmd_characters(args):
+    from .numerical import arf_characters
+
     return dumps({"characters": sorted(arf_characters(closed(read_numerical(args.input))))})
 
 
 def cmd_check(args):
+    from .good_semigroup import GoodSemigroup, good_literal, is_arf_good, is_good, is_local
+
     literal = good_literal(
         _require(read_json(args.input), ("d", "conductor", "small_elements"), "semigroup"))
     good, reason = is_good(*literal)
@@ -162,14 +176,21 @@ def cmd_check(args):
 
 
 def cmd_tree_from_semigroup(args):
+    from .mult_tree import semigroup_to_tree, tree_to_dict
+
     return dumps(tree_to_dict(semigroup_to_tree(read_good(args.input))))
 
 
 def cmd_tree_to_semigroup(args):
+    from .good_semigroup import good_to_dict
+    from .mult_tree import tree_to_semigroup
+
     return dumps(good_to_dict(tree_to_semigroup(read_tree(args.input))))
 
 
 def cmd_tree_intersect(args):
+    from .mult_tree import tree_intersection, tree_to_dict
+
     return dumps(tree_to_dict(tree_intersection(read_tree(args.first),
                                                 read_tree(args.second))))
 
@@ -179,36 +200,52 @@ def cmd_tree_render(args):
 
 
 def cmd_chars_build(args):
+    from .char_vectors import build_character_vectors, charset_to_dict
+
     witness = parse_witness(args.witness_node) if args.witness_node else None
     V = build_character_vectors(read_good(args.input), witness_node=witness)
     return dumps(charset_to_dict(V))
 
 
 def cmd_chars_reduce(args):
+    from .char_vectors import charset_to_dict, reduce_characters
+
     V = reduce_characters(read_charset(args.charset), read_good(args.semigroup))
     return dumps(charset_to_dict(V))
 
 
 def cmd_chars_closure(args):
+    from .char_vectors import smallest_arf_containing
+    from .good_semigroup import good_to_dict
+
     return dumps(good_to_dict(smallest_arf_containing(read_charset(args.input))))
 
 
 def cmd_curve_tree(args):
+    from .branch_ring import multiplicity_tree_of_curve
+
     tree = multiplicity_tree_of_curve(read_curve(args.input, args.truncation))
     return render_tree(tree, args.format)
 
 
 def cmd_curve_semigroup(args):
+    from .branch_ring import arf_closure_value_semigroup
+    from .good_semigroup import good_to_dict
+
     S = arf_closure_value_semigroup(read_curve(args.input, args.truncation))
     return dumps(good_to_dict(S))
 
 
 def cmd_curve_values(args):
+    from .branch_ring import value_set
+
     values = value_set(read_curve(args.input, args.truncation), parse_bound(args.bound))
     return dumps({"values": [list(v) for v in sorted(values)]})
 
 
 def cmd_curve_equiv(args):
+    from .branch_ring import curves_equivalent
+
     equivalent = curves_equivalent(read_curve(args.first, args.truncation),
                                    read_curve(args.second, args.truncation))
     return dumps({"equivalent": equivalent})

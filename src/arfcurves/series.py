@@ -171,6 +171,8 @@ class TruncatedSeries:
         quotient = {}
         scale = 1
         for e in range(truncation):
+            if not remainder:
+                break
             r = remainder.pop(e, 0)
             if not r:
                 continue

@@ -151,12 +151,18 @@ def test_huge_generator_with_small_conductor(capsys):
     assert out == '{"prefix":[2]}\n'
 
 
-def test_cli_import_loads_no_numpy():
-    # importing the CLI, checking the axioms and reading a semigroup literal
-    # all run without numpy
+def run_python(script, *args):
+    """Run `script` in a fresh interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(arfcurves.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_numpy():
+    # importing the CLI, checking the axioms and reading a semigroup literal
+    # all run without numpy
     script = """
 import sys
 import arfcurves.cli
@@ -165,10 +171,33 @@ for argv in (["check"], ["tree", "from-semigroup"], ["chars", "build"]):
     assert arfcurves.cli.main(argv + [sys.argv[1]]) == 0, argv
     assert 'numpy' not in sys.modules, argv
 """
-    result = subprocess.run([sys.executable, "-c", script, EX1], env=env,
-                            capture_output=True, text=True)
+    result = run_python(script, EX1)
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("\n") == 3
+
+
+def test_each_subcommand_loads_only_its_modules():
+    # a process compiles only the modules its subcommand runs: the package
+    # itself loads none, and the numerical and good-semigroup commands never
+    # load the series layer
+    script = """
+import sys
+
+def loaded(*names):
+    return [n for n in names if n in sys.modules]
+
+import arfcurves
+assert not [n for n in sys.modules if n.startswith('arfcurves.')], sorted(sys.modules)
+from arfcurves.cli import main
+assert main(['closure', '4', '6', '13']) == 0
+assert not loaded('arfcurves.series', 'arfcurves.branch_ring', 'arfcurves.mult_tree',
+                  'arfcurves.good_semigroup', 'arfcurves.char_vectors', 'fractions'), 'closure'
+assert main(['check', sys.argv[1]]) == 0
+assert not loaded('arfcurves.series', 'arfcurves.branch_ring', 'fractions'), 'check'
+"""
+    result = run_python(script, EX1)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("\n") == 2
 
 
 def test_tree_semigroup_round_trip(capsys):
@@ -312,6 +341,44 @@ def test_exit_codes(capsys):
     assert captured.out == ""
     assert "the conductor exceeds the limit of 1048576" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_unreadable_inputs_exit_2(capsys, tmp_path):
+    undecodable = tmp_path / "bad.bin"
+    undecodable.write_bytes(b"\xff\xfe{")
+    deep = '{"a": ' + "[" * 100000 + "]" * 100000 + "}"
+    nested = tmp_path / "deep.json"
+    nested.write_text(deep)
+    for argv, message in [
+            (["seq", str(undecodable)], "cannot read %r: 'utf-8' codec can't decode" % str(undecodable)),
+            (["seq", deep], "nested too deeply"),
+            (["curve", "tree", str(nested)], "invalid JSON in %r: nested too deeply" % str(nested))]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv[:2]
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_truncation_order_has_a_limit(capsys):
+    # a sparse quotient stops with its remainder, so the largest allowed
+    # order answers at once; one more is refused before any series is built
+    cusp = '{"d":1,"generators":[["t^3"],["t^5"]]}'
+    code, out = run(capsys, "curve", "tree", cusp, "--truncation", str(2 ** 20))
+    assert code == 0
+    assert json.loads(out)["stable_level"] == 2
+    for argv in (["curve", "tree", cusp, "--truncation", str(2 ** 20 + 1)],
+                 ["curve", "semigroup", cusp, "--truncation", "1000000000000"],
+                 ["curve", "tree", '{"d":1,"generators":[["t^3"],["t^5"]],'
+                                   '"truncation":1000000000000}']):
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: the truncation order exceeds the limit of 1048576\n"
 
 
 def test_infinite_index_branch_stops_at_its_fixed_point(capsys):

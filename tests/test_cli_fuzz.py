@@ -5,12 +5,15 @@ prints canonical JSON (or a tree drawing when one is asked for).
 Literals are drawn near their real shape, with any field swapped for
 arbitrary JSON now and then; sizes stay small (d <= 3, at most three
 generators, truncation and conductors <= 64) so that an example runs in
-well under a second.
+well under a second.  A second test passes the path of a file holding
+arbitrary bytes, or such a literal with arbitrary bytes spliced in.
 """
 
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -178,9 +181,36 @@ ARGV = st.one_of(
 )
 
 
+# subcommands that read one literal, from a path when it is not inline
+PATH_COMMANDS = [["seq"], ["characters"], ["unseq"], ["check"], ["tree", "from-semigroup"],
+                 ["tree", "to-semigroup"], ["tree", "render"], ["chars", "build"],
+                 ["chars", "closure"], ["curve", "tree"], ["curve", "semigroup"]]
+
+# file contents: arbitrary bytes, or a literal with arbitrary bytes spliced in
+FILE_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.tuples(st.one_of(literal(numerical()), literal(good()), literal(tree()), literal(curve())),
+              st.integers(0, 200), st.binary(max_size=4)).map(
+        lambda p: p[0].encode()[:p[1]] + p[2] + p[0].encode()[p[1]:]))
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ARGV)
 def test_cli_keeps_its_contract(argv):
+    assert_contract(argv)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(PATH_COMMANDS), FILE_BYTES)
+def test_cli_keeps_its_contract_on_file_bytes(command, data):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "input")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        assert_contract(command + [path])
+
+
+def assert_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,19 @@ def test_division_golden():
     q = g / f
     assert q.coefficients == {2: Fraction(1), 3: Fraction(1)}
     assert q.truncation == 60
+
+
+def test_exact_quotient_stops_with_its_remainder():
+    # once the remainder is empty the quotient is complete: the division
+    # costs its own terms, not the truncation order
+    big = 10 ** 8
+    start = time.perf_counter()
+    q = series("t^5+2t^9", truncation=big) / series("t^2", truncation=big)
+    r = series("t^6+t^7", truncation=big) / series("t^2+t^3", truncation=big)
+    assert time.perf_counter() - start < 1.0
+    assert q.coefficients == {3: Fraction(1), 7: Fraction(2)}
+    assert r.coefficients == {4: Fraction(1)}
+    assert q.truncation == r.truncation == big - 2
 
 
 def test_division_geometric_tail():
