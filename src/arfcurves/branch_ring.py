@@ -9,11 +9,12 @@ constant terms.  All invariants are derived from values: the value of a
 nonzerodivisor is its componentwise order.  Values inside the box
 [0, bound] see no term of degree above bound_j, so `value_set` works in the
 image W of A in prod_j k[t_j]/(t_j^(bound_j + 1)), on generators cut to
-bound + 1.  One pass builds an echelon basis of W, of dimension at most
-sum_j (bound_j + 1); a second reads the values off its pivots by Delgado's
-dimension criterion (Campillo, Delgado and Kiyek 1994).  Values created by
-cancellation, for example v((t^6+t^7)^2 - (t^4)^3) = 13, are pivots like
-any other.
+bound + 1.  The first pass builds an echelon basis of W, of dimension at
+most sum_j (bound_j + 1), one generator at a time: each generator
+multiplies the span built so far until it adds no row.  The second reads
+the values off its pivots by Delgado's dimension criterion (Campillo,
+Delgado and Kiyek 1994).  Values created by cancellation, for example
+v((t^6+t^7)^2 - (t^4)^3) = 13, are pivots like any other.
 
 Blowing up divides the maximal ideal by an element of minimal value, and
 iterated blowups assemble the multiplicity tree: at each level every still
@@ -174,24 +175,66 @@ def _tail(element):
     return SeriesTuple(element.components[1:])
 
 
+def _cut_product(f, g, bound):
+    """_cut(f * g, bound), without forming the terms that the cut drops.
+
+    On branch j only the pairs of terms with e1 + e2 <= bound_j are
+    multiplied: the terms of one operand are taken in ascending order, so
+    the inner loop stops at the first pair past the bound.  The truncation
+    is that of the product, cut to bound_j + 1.
+    """
+    cut = []
+    for a, b, top in zip(f.components, g.components, bound):
+        truncation = min(a.truncation + b.order_lower_bound(),
+                         b.truncation + a.order_lower_bound(), top + 1)
+        if len(a.numerators) < len(b.numerators):
+            a, b = b, a
+        inner = sorted(b.numerators.items())
+        terms = {}
+        for e1, n1 in a.numerators.items():
+            limit = truncation - e1
+            for e2, n2 in inner:
+                if e2 >= limit:
+                    break
+                terms[e1 + e2] = terms.get(e1 + e2, 0) + n1 * n2
+        cut.append(TruncatedSeries._of({e: n for e, n in terms.items() if n},
+                                       a.denominator * b.denominator, truncation))
+    return SeriesTuple(cut)
+
+
 def _span(algebra, bound):
     """Echelon basis {lead: row} of the image W of the algebra in
     prod_j k[t_j]/(t_j^(bound_j + 1)), leads (branch, order) branch-major.
 
     Cutting at bound+1 is that ring map (see `_cut`), so every cut element
-    is exact there.  Each new row queues its product with each cut
-    generator, and each queued element is reduced into the span, so the
-    span holds 1 and is closed under multiplication by the generators: it
-    is W.  Its dimension is at most sum_j (bound_j + 1).
+    is exact there.  The span is a Krylov closure, one generator at a
+    time: V_0 = k*1 and V_k = k[g_k]*V_(k-1).  In stage k every row of
+    V_(k-1) is multiplied by g_k once, and after that only the rows that
+    the previous pass added, each product reduced into the span.  That is
+    enough: if the span S_m after pass m adds the rows U_m to S_(m-1), and
+    g_k*S_(m-1) lies in S_m, then g_k*S_m lies in S_m + g_k*span(U_m),
+    which pass m + 1 spans.  The generators commute, so V_k is closed under
+    g_1, ..., g_k, and V_n = W; its dimension is at most sum_j (bound_j + 1).
+
+    W is the same in any order, so the order only sets the cost.  The
+    generators are taken sparsest first, by total term count (a stable
+    sort): the early rows and their products stay short.  On the plane
+    pair (t^4, u^6), (t^6+t^7, u^9+u^10), (t^9, u^4) at bound (100, 100),
+    an unsorted order costs up to 15 times as much as a sorted one.
     """
-    generators = [_cut(g, bound) for g in algebra.generators]
-    echelon = {}
-    queue = [_cut(SeriesTuple.constant(1, algebra.d), bound)]
-    while queue:
-        lead, row = _reduce(queue.pop(), echelon)
-        if lead is not None:
-            echelon[lead] = row
-            queue.extend(_cut(row * g, bound) for g in generators)
+    generators = sorted((_cut(g, bound) for g in algebra.generators),
+                        key=lambda g: sum(len(c.numerators) for c in g.components))
+    one = _cut(SeriesTuple.constant(1, algebra.d), bound)
+    echelon = {_lead(one): one}
+    for g in generators:
+        added = list(echelon.values())
+        while added:
+            rows, added = added, []
+            for row in rows:
+                lead, rest = _reduce(_cut_product(row, g, bound), echelon)
+                if lead is not None:
+                    echelon[lead] = rest
+                    added.append(rest)
     return echelon
 
 

@@ -18,11 +18,20 @@ def dumps(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+# characters of an inline literal that an error message repeats
+LITERAL_ECHO = 40
+
+
 def read_json(source):
-    """JSON object from a path, an inline literal, or stdin when `-`."""
+    """JSON object from a path, an inline literal, or stdin when `-`.
+
+    Messages name a path or `-` as given, and an inline literal by its
+    first LITERAL_ECHO characters, so a long literal gives a short line."""
     if source.lstrip().startswith("{"):
         text = source
+        name = repr(source[:LITERAL_ECHO]) + ("..." if len(source) > LITERAL_ECHO else "")
     else:
+        name = repr(source)
         try:
             if source == "-":
                 text = sys.stdin.read()
@@ -30,15 +39,15 @@ def read_json(source):
                 with open(source, "r", encoding="utf-8") as handle:
                     text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise InputError("cannot read %r: %s" % (source, exc))
+            raise InputError("cannot read %s: %s" % (name, exc))
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError("invalid JSON in %r: %s" % (source, exc))
+        raise InputError("invalid JSON in %s: %s" % (name, exc))
     except RecursionError:
-        raise InputError("invalid JSON in %r: nested too deeply" % (source,))
+        raise InputError("invalid JSON in %s: nested too deeply" % (name,))
     if not isinstance(data, dict):
-        raise InputError("expected a JSON object in %r" % (source,))
+        raise InputError("expected a JSON object in %s" % (name,))
     return data
 
 

@@ -397,6 +397,28 @@ def pairwise_partition_oracle(algebra):
     return [groups[root] for root in sorted(groups, key=lambda r: groups[r][0])]
 
 
+def queue_span_oracle(algebra, bound):
+    """Echelon basis {lead: row} of the image W of the algebra in
+    prod_j k[t_j]/(t_j^(bound_j + 1)), by a queue.
+
+    Each new row queues its product with every cut generator, and each
+    queued element is reduced into the span, so the span holds 1 and is
+    closed under multiplication by the generators: it is W.  As an oracle
+    for `branch_ring._span`, which takes one generator at a time, it shares
+    only `_cut` and `_reduce` with it; the lead set of an echelon basis of
+    W depends on W alone, so the two must agree on it.
+    """
+    generators = [branch_ring._cut(g, bound) for g in algebra.generators]
+    echelon = {}
+    queue = [branch_ring._cut(SeriesTuple.constant(1, algebra.d), bound)]
+    while queue:
+        lead, row = branch_ring._reduce(queue.pop(), echelon)
+        if lead is not None:
+            echelon[lead] = row
+            queue.extend(branch_ring._cut(row * g, bound) for g in generators)
+    return echelon
+
+
 def value_set_oracle(algebra, bound):
     """Values of a curve algebra inside the box [0, bound], by linear algebra.
 

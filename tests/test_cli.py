@@ -361,6 +361,20 @@ def test_unreadable_inputs_exit_2(capsys, tmp_path):
         assert "Traceback" not in captured.err
 
 
+def test_long_inline_literal_gives_a_short_error(capsys, monkeypatch):
+    # an inline literal is named by a short prefix; a path or `-` as given
+    literal = '{"d":2,"conductor":[4,6' + " " * 50000
+    monkeypatch.setattr(sys, "stdin", io.StringIO(literal))
+    for source, name in ((literal, repr(literal[:40]) + "..."), ("-", "'-'")):
+        code = main(["check", source])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid JSON in %s: Expecting" % name)
+        assert len(captured.err) < 200 and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 def test_truncation_order_has_a_limit(capsys):
     # a sparse quotient stops with its remainder, so the largest allowed
     # order answers at once; one more is refused before any series is built
