@@ -18,8 +18,13 @@ def dumps(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-# characters of an inline literal that an error message repeats
+# characters of an inline literal or argument that an error message repeats
 LITERAL_ECHO = 40
+
+
+def _echo(text):
+    """repr of the first LITERAL_ECHO characters of text, marked when cut."""
+    return repr(text[:LITERAL_ECHO]) + ("..." if len(text) > LITERAL_ECHO else "")
 
 
 def read_json(source):
@@ -29,7 +34,7 @@ def read_json(source):
     first LITERAL_ECHO characters, so a long literal gives a short line."""
     if source.lstrip().startswith("{"):
         text = source
-        name = repr(source[:LITERAL_ECHO]) + ("..." if len(source) > LITERAL_ECHO else "")
+        name = _echo(source)
     else:
         name = repr(source)
         try:
@@ -42,10 +47,10 @@ def read_json(source):
             raise InputError("cannot read %s: %s" % (name, exc))
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError("invalid JSON in %s: %s" % (name, exc))
     except RecursionError:
         raise InputError("invalid JSON in %s: nested too deeply" % (name,))
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+        raise InputError("invalid JSON in %s: %s" % (name, exc))
     if not isinstance(data, dict):
         raise InputError("expected a JSON object in %s" % (name,))
     return data
@@ -97,21 +102,30 @@ def read_curve(source, truncation=None):
     return curve_from_dict(data)
 
 
-def parse_bound(text):
+def _integers(parts, form, text):
+    """The parts of the argument text as ints, or an InputError that names
+    the expected form and the text by its prefix.  When a part is longer
+    than Python's limit on int() of a string (0 for none; absent before
+    3.10.7), the message names that limit."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in parts)
     except ValueError:
-        raise InputError("bound must be comma-separated integers, got %r" % (text,))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and any(len(part) > limit for part in parts):
+            form = "%s of at most %d digits each" % (form, limit)
+        raise InputError("%s, got %s" % (form, _echo(text)))
+
+
+def parse_bound(text):
+    return _integers(text.split(","), "bound must be comma-separated integers", text)
 
 
 def parse_witness(text):
+    form = "witness node must be LEVEL:BRANCH"
     parts = text.split(":")
     if len(parts) != 2:
-        raise InputError("witness node must be LEVEL:BRANCH, got %r" % (text,))
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InputError("witness node must be LEVEL:BRANCH, got %r" % (text,))
+        raise InputError("%s, got %s" % (form, _echo(text)))
+    return _integers(parts, form, text)
 
 
 def render_tree(tree, form):

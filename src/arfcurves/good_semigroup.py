@@ -10,12 +10,12 @@ the box [0, delta]; membership of an arbitrary vector follows the rule
 
 The rule is a representation convention, not one of the axioms.  is_good
 checks the axioms under it on the member set, with no grid, so its cost
-and memory follow the members rather than the volume of the box; only
-from_member_grid loads numpy.  Residues and projections are read off the
-members, and Arf-ness off the trees of the local factors (is_arf_good).
+and memory follow the members rather than the volume of the box.  Residues
+and projections are read off the members, and Arf-ness off the trees of
+the local factors (is_arf_good).
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import combinations, compress
 from math import inf, prod
@@ -34,18 +34,82 @@ def _as_vector(value, d):
     return vec
 
 
+def _meet_irreducibles(d, small, members):
+    """The meet-irreducible members of sorted `small`, or None when the
+    min of two members is missing.
+
+    In descending order, a member not yet recorded as min(m, s) strictly
+    below both m and s is meet-irreducible: min(m, s) is checked for every
+    member s, skipping the irreducibles already done.  This suffices.  By
+    induction in that order every member is the min of the irreducibles
+    above it, so the min of two members is a fold over irreducibles, and
+    min(m, S) inside S for each irreducible m keeps every step in S.  For
+    d = 1 the members form a chain, so none is missing.
+    """
+    if d == 1:
+        return list(small)
+    meets, done, rest = set(), [], list(small)
+    for m in reversed(small):
+        if m in meets:
+            continue
+        done.append(m)
+        del rest[bisect_left(rest, m)]
+        for s in rest:
+            low = tuple(map(min, m, s))
+            if low not in members:
+                return None
+            if low != s and low != m:
+                meets.add(low)
+    return done
+
+
+def _additive_generators(conductor, small, members):
+    """The additive generators of sorted `small`, or None when a capped sum
+    of two members is missing.
+
+    In ascending order, a nonzero member not yet recorded as an exact sum
+    g + s is a generator g: cap(g + s) = min(g + s, conductor) is checked
+    for every member s, skipping the generators already done, and g + s is
+    recorded when no coordinate is capped.  This suffices.  Every member is
+    an exact sum of generators, and capped addition is associative,
+    cap(cap(x) + y) = cap(x + y) for y >= 0, so g + S inside S for each
+    generator g gives S + S inside S.  A capped sum is not recorded:
+    x = cap(g + x) would make x its own summand.
+    """
+    sums, done, rest = set(), [], list(small)
+    for g in small:
+        if g in sums or not any(g):
+            continue
+        done.append(g)
+        for s in rest:
+            total = tuple(map(add, g, s))
+            capped = tuple(map(min, total, conductor))
+            if capped not in members:
+                return None
+            if capped == total:
+                sums.add(total)
+        del rest[bisect_left(rest, g)]
+    return done
+
+
 def _axiom_failure(d, conductor, small):
     """First violated good-semigroup axiom as a message, or None.
 
-    Pairs of the sorted members are scanned in order, each check one set
-    lookup: i < j for min, i <= j for the capped sum, then (i < j, pivot)
-    for the lift.  Under the cap rule the lifting witnesses for a and b at
-    a pivot p where they agree are the members u that equal m = min(a, b)
-    where a and b differ and are >= m elsewhere, with u_p >= min(a_p + 1,
-    delta_p), since a witness above the conductor caps down to delta_p.
-    Members are bucketed by their values where a and b differ, keeping the
-    maximal ones, which suffice.  Only pairs that agree somewhere are
-    visited, through an index of the members by coordinate value.
+    Min and capped-sum closure are decided from the meet-irreducible members
+    and the additive generators alone.  Only when one fails are pairs of the
+    sorted members scanned in order, each one set lookup (i < j for min,
+    i <= j for the sum), to name the first failing pair.
+
+    The lift scans pairs (i < j, pivot).  Under the cap rule the lifting
+    witnesses for a and b at a pivot p where they agree are the members u
+    that equal m = min(a, b) where a and b differ and are >= m elsewhere,
+    with u_p >= min(a_p + 1, delta_p), since a witness above the conductor
+    caps down to delta_p.  So the condition depends on (m, where a and b
+    differ) alone, and witnesses are searched once per such key: a key
+    that has passed is skipped.  Members are bucketed by their values where
+    a and b differ, keeping the maximal ones, which suffice.  Only pairs
+    that agree somewhere are visited, through an index of the members by
+    coordinate value.
     """
     members = frozenset(small)
     if (0,) * d not in members:
@@ -55,19 +119,22 @@ def _axiom_failure(d, conductor, small):
     for v in small:
         if any(x > c for x, c in zip(v, conductor)):
             return "element %r lies outside the conductor box" % (list(v),)
-    for i, a in enumerate(small):
-        for b in small[i + 1:]:
-            if tuple(map(min, a, b)) not in members:
-                return "property (1) fails: min(%r, %r) is missing" % (list(a), list(b))
-    for i, a in enumerate(small):
-        for b in small[i:]:
-            if tuple(map(min, map(add, a, b), conductor)) not in members:
-                return "not closed under addition: %r + %r is missing" % (list(a), list(b))
+    if _meet_irreducibles(d, small, members) is None:
+        for i, a in enumerate(small):
+            for b in small[i + 1:]:
+                if tuple(map(min, a, b)) not in members:
+                    return "property (1) fails: min(%r, %r) is missing" % (list(a), list(b))
+    if _additive_generators(conductor, small, members) is None:
+        for i, a in enumerate(small):
+            for b in small[i:]:
+                if tuple(map(min, map(add, a, b), conductor)) not in members:
+                    return "not closed under addition: %r + %r is missing" % (list(a), list(b))
     by_value = {}
     for k, v in enumerate(small):
         for c, x in enumerate(v):
             by_value.setdefault((c, x), []).append(k)
     buckets = {}  # where members differ -> {values there: maximal members}
+    passed = set()
     for i, a in enumerate(small):
         partners = set()
         for c, x in enumerate(a):
@@ -75,7 +142,10 @@ def _axiom_failure(d, conductor, small):
             partners.update(same[bisect_right(same, i):])
         for j in sorted(partners):
             b = small[j]
+            m = tuple(map(min, a, b))
             differ = tuple(map(ne, a, b))
+            if (m, differ) in passed:
+                continue
             bucket = buckets.get(differ)
             if bucket is None:
                 bucket = buckets[differ] = {}
@@ -84,7 +154,6 @@ def _axiom_failure(d, conductor, small):
                     top = bucket.setdefault(tuple(compress(u, differ)), [])
                     if not any(all(map(ge, w, u)) for w in top):
                         top.append(u)
-            m = tuple(map(min, a, b))
             top = bucket[tuple(compress(m, differ))]
             for p in range(d):
                 if differ[p]:
@@ -93,6 +162,7 @@ def _axiom_failure(d, conductor, small):
                 if not any(all(map(ge, u, q)) for u in top):
                     return "property (2) fails at alpha=%r, beta=%r, coordinate %d" % (
                         list(a), list(b), p + 1)
+            passed.add((m, differ))
     return None
 
 
@@ -153,30 +223,6 @@ class GoodSemigroup:
     @classmethod
     def natural_numbers(cls, d):
         return cls(d, (0,) * d, [(0,) * d], validate=False)
-
-    @classmethod
-    def from_member_grid(cls, grid):
-        """Build from a membership grid over a box [0, B].
-
-        B (the far corner) must be a conductor and membership outside the
-        box must follow the cap rule at B; the conductor is then lowered to
-        the componentwise minimal one and the cap rule is re-verified
-        against the whole grid.
-        """
-        import numpy as np
-
-        grid = np.asarray(grid, dtype=bool)
-        corner = tuple(s - 1 for s in grid.shape)
-        if not bool(grid[corner]):
-            raise ValidationError("the box corner must be a member")
-        if not bool(grid[(0,) * grid.ndim]):
-            raise ValidationError("0 must be a member")
-        S = _boxed(corner, set(map(tuple, np.argwhere(grid).tolist())))
-        capped = grid[np.ix_(*[np.minimum(np.arange(s), c)
-                               for s, c in zip(grid.shape, S.conductor)])]
-        if not bool(np.array_equal(grid, capped)):
-            raise ValidationError("membership is not determined by the conductor box")
-        return S
 
     @classmethod
     def from_numerical(cls, S):

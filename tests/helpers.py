@@ -8,7 +8,7 @@ import numpy as np
 from arfcurves import branch_ring
 from arfcurves.char_vectors import CharacterVectorSet, smallest_arf_containing
 from arfcurves.errors import DomainError, ValidationError
-from arfcurves.good_semigroup import GoodSemigroup
+from arfcurves.good_semigroup import _boxed
 from arfcurves.mult_tree import (MultiplicityTree, tree_intersection,
                                  tree_to_semigroup)
 from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_closure,
@@ -154,6 +154,28 @@ def canonical_form_oracle(T):
     return tree, tuple(p + 1 for p in perm)
 
 
+def from_member_grid(grid):
+    """The good semigroup marked on a membership grid over a box [0, B].
+
+    B (the far corner) must be a conductor and membership outside the box
+    must follow the cap rule at B; the conductor is then lowered to the
+    componentwise minimal one and the cap rule is re-verified against the
+    whole grid.
+    """
+    grid = np.asarray(grid, dtype=bool)
+    corner = tuple(s - 1 for s in grid.shape)
+    if not bool(grid[corner]):
+        raise ValidationError("the box corner must be a member")
+    if not bool(grid[(0,) * grid.ndim]):
+        raise ValidationError("0 must be a member")
+    S = _boxed(corner, set(map(tuple, np.argwhere(grid).tolist())))
+    capped = grid[np.ix_(*[np.minimum(np.arange(s), c)
+                           for s, c in zip(grid.shape, S.conductor)])]
+    if not bool(np.array_equal(grid, capped)):
+        raise ValidationError("membership is not determined by the conductor box")
+    return S
+
+
 def tree_semigroup_oracle(T):
     """Semigroup of a valid tree from its depth profiles, on a dense grid.
 
@@ -174,7 +196,7 @@ def tree_semigroup_oracle(T):
         if all(m[j] >= min(m[h], T.pair_split(j, h))
                for j in range(d) for h in range(d) if h != j):
             grid[tuple(sums[j][m[j] + 1] for j in range(d))] = True
-    return GoodSemigroup.from_member_grid(grid)
+    return from_member_grid(grid)
 
 
 def enumerate_smallest_arf(V):

@@ -375,6 +375,33 @@ def test_long_inline_literal_gives_a_short_error(capsys, monkeypatch):
         assert "Traceback" not in captured.err
 
 
+def test_long_or_huge_arguments_give_a_short_error(capsys):
+    # --bound and --witness-node are named by a short prefix too, and an
+    # integer longer than Python's limit on int() of a string names it
+    huge = "7" * 5000
+    limit = sys.get_int_max_str_digits()
+    for argv, message in [
+            (["curve", "values", CURVE_B, "--bound", "1," * 20000 + "x"],
+             "bound must be comma-separated integers, got %r..." % ("1," * 20,)),
+            (["curve", "values", CURVE_B, "--bound", huge + ",3"],
+             "bound must be comma-separated integers of at most %d digits each, got %r..."
+             % (limit, huge[:40])),
+            (["chars", "build", EX2, "--witness-node", "1:" * 20000],
+             "witness node must be LEVEL:BRANCH, got %r..." % ("1:" * 20,)),
+            (["chars", "build", EX2, "--witness-node", huge + ":1"],
+             "witness node must be LEVEL:BRANCH of at most %d digits each" % limit),
+            (["check", '{"d":1,"conductor":[%s],"small_elements":[[0]]}' % huge],
+             "invalid JSON in %r...: Exceeds the limit (%d digits)"
+             % ('{"d":1,"conductor":[' + huge[:20], limit))]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv[:2]
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+        assert len(captured.err) < 300 and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 def test_truncation_order_has_a_limit(capsys):
     # a sparse quotient stops with its remainder, so the largest allowed
     # order answers at once; one more is refused before any series is built

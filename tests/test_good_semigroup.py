@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from arfcurves.errors import DomainError, ValidationError
 from arfcurves.good_semigroup import (
     GoodSemigroup,
+    _additive_generators,
+    _meet_irreducibles,
     fine_multiplicity,
     good_from_dict,
     good_to_dict,
@@ -20,7 +24,8 @@ from arfcurves.good_semigroup import (
 )
 from arfcurves.mult_tree import MultiplicityTree, tree_to_semigroup
 from arfcurves.numerical import NumericalSemigroup, arf_closure, seq_to_semigroup
-from helpers import arf_good_oracle, good_axioms_oracle, random_arf_sequence, random_tree
+from helpers import (arf_good_oracle, from_member_grid, good_axioms_oracle, random_arf_sequence,
+                     random_tree)
 
 # Two branches: {(0,0),(4,2)} with the column (6,n) n>=4 and (8,4)+N^2.
 EX1 = GoodSemigroup(2, (8, 4), [(0, 0), (4, 2), (6, 4), (8, 4)])
@@ -59,6 +64,10 @@ def test_is_good_examples():
         (6, 4, 8), (6, 4, 10), (6, 6, 8), (8, 2, 4), (8, 4, 8), (8, 4, 10), (8, 6, 8),
         (8, 6, 10)])
     assert message == "property (2) fails at alpha=[6, 4, 10], beta=[8, 4, 10], coordinate 2"
+    # (1, 1) = cap((0, 1) + (1, 1)) is no exact sum, so it is an additive
+    # generator of its own, and (1, 1) + (1, 1) = (2, 1) is missing
+    assert is_good(2, (3, 1), [(0, 0), (0, 1), (1, 1), (3, 1)]) == (
+        False, "not closed under addition: [1, 1] + [1, 1] is missing")
 
 
 def test_is_good_reports_min_violation():
@@ -78,7 +87,7 @@ def test_from_member_grid_shrinks_to_minimal_box():
     for a in range(10):
         for b in range(6):
             grid[a, b] = EX1.contains((a, b))
-    assert GoodSemigroup.from_member_grid(grid) == EX1
+    assert from_member_grid(grid) == EX1
 
 
 def test_is_local_examples():
@@ -179,12 +188,12 @@ def test_residues_and_plane_projections_match_grids(rng):
         grid = np.zeros([k + 1 for k in kappa], dtype=bool)
         for g in itertools.product(*(range(k + 1) for k in kappa)):
             grid[g] = S.contains([a + x for a, x in zip(alpha, g)])
-        assert residue(S, alpha) == GoodSemigroup.from_member_grid(grid)
+        assert residue(S, alpha) == from_member_grid(grid)
     for j, h in itertools.permutations(range(1, S.d + 1), 2):
         grid = np.zeros((S.conductor[j - 1] + 1, S.conductor[h - 1] + 1), dtype=bool)
         for v in S.small_elements:
             grid[v[j - 1], v[h - 1]] = True
-        assert plane_projection(S, j, h) == GoodSemigroup.from_member_grid(grid)
+        assert plane_projection(S, j, h) == from_member_grid(grid)
 
 
 def test_projection_examples():
@@ -282,3 +291,55 @@ def test_oracle_accepts_tree_semigroups(rng):
     for small in candidates:
         expected = good_axioms_oracle(S.d, S.conductor, small)
         assert is_good(S.d, S.conductor, small) == (expected is None, expected)
+
+
+def test_axiom_messages_match_oracle_on_dense_products():
+    # products of small numerical semigroups at d = 2..3 with one member
+    # removed or one box vector added: dense candidates on which min and sum
+    # are decided from few generators, and every kind of verdict occurs,
+    # the rescans that name a first failing pair included
+    generators = [(1,), (2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (3, 4, 5), (4, 5), (3, 7),
+                  (4, 6, 7)]
+    kinds = Counter()
+    for seed in range(100):
+        rng = random.Random(seed)
+        factors = [NumericalSemigroup.from_generators(rng.choice(generators))
+                   for _ in range(rng.randint(2, 3))]
+        d = len(factors)
+        conductor = tuple(N.conductor for N in factors)
+        members = set(itertools.product(*((*N.small_elements, N.conductor) for N in factors)))
+        inner = sorted(v for v in members if any(v) and v != conductor)
+        outside = [v for v in itertools.product(*(range(c + 1) for c in conductor))
+                   if v not in members]
+        candidates = [members - {rng.choice(inner)}] if inner else []
+        candidates += [members | {rng.choice(outside)}] if outside else []
+        for small in candidates:
+            expected = good_axioms_oracle(d, conductor, small)
+            assert is_good(d, conductor, small) == (expected is None, expected)
+            kinds[expected and " ".join(expected.split()[:2])] += 1
+    assert set(kinds) == {None, "property (1)", "not closed", "property (2)"}, kinds
+
+
+def test_generator_counts_on_full_boxes():
+    # side 15 at d = 2: the unit vectors generate, and the members with a
+    # coordinate at 14 are the meet-irreducibles; side 6 at d = 3: those
+    # with two coordinates at 5
+    for side, d, generators, irreducibles in ((15, 2, 2, 29), (6, 3, 3, 16)):
+        small = sorted(itertools.product(range(side), repeat=d))
+        conductor = (side - 1,) * d
+        members = frozenset(small)
+        assert len(_additive_generators(conductor, small, members)) == generators
+        assert len(_meet_irreducibles(d, small, members)) == irreducibles
+        assert is_good(d, conductor, small) == (True, None)
+
+
+def test_axiom_check_time_follows_the_generators():
+    # <2,27>^3 has 2,744 members but 3 additive generators and 40
+    # meet-irreducibles, and its 749,112 agreeing pairs share 14,742 lift
+    # keys; a check of every pair by set lookups took about 14 s, this one
+    # about 2 s (2 cores, CPython 3.11.7)
+    chain = range(0, 27, 2)
+    small = list(itertools.product(chain, repeat=3))
+    start = time.perf_counter()
+    assert is_good(3, (26, 26, 26), small) == (True, None)
+    assert time.perf_counter() - start < 7.0
