@@ -67,8 +67,8 @@ class LocalAlgebra:
                 raise DomainError("all generators must be series tuples with the same d")
         if validate:
             for i, g in enumerate(generators):
-                for j, c in enumerate(g.constant_vector()):
-                    if c != 0:
+                for j, component in enumerate(g.components):
+                    if 0 in component.numerators:
                         raise ValidationError(
                             "generator %d has a nonzero constant term in component %d"
                             % (i + 1, j + 1)
@@ -138,10 +138,13 @@ def _cut(element, bound):
 
 
 def _eliminate(f, g, j, e):
-    """f minus the multiple of g that cancels their common leading t^e on branch j."""
+    """f minus the multiple of g that cancels their common leading t^e on branch j.
+
+    The multiplier is an int when the quotient is exact, as it is for a
+    lead of +-1 over denominator 1, and a Fraction otherwise."""
     a, b = f.components[j], g.components[j]
-    return f.plus_multiple(g, Fraction(-a.numerators[e] * b.denominator,
-                                       a.denominator * b.numerators[e]))
+    p, q = -a.numerators[e] * b.denominator, a.denominator * b.numerators[e]
+    return f.plus_multiple(g, p // q if p % q == 0 else Fraction(p, q))
 
 
 def _min_sum(f, g, bound):
@@ -155,8 +158,10 @@ def _min_sum(f, g, bound):
 
 def _lead(element):
     """(branch, order) of the first nonzero component, or None for zero."""
-    return next(((j, c.order()) for j, c in enumerate(element.components) if c.numerators),
-                None)
+    for j, component in enumerate(element.components):
+        if component.numerators:
+            return j, min(component.numerators)
+    return None
 
 
 def _reduce(element, echelon):
@@ -175,31 +180,42 @@ def _tail(element):
     return SeriesTuple(element.components[1:])
 
 
-def _cut_product(f, g, bound):
-    """_cut(f * g, bound), without forming the terms that the cut drops.
+def _factor(g, bound):
+    """What multiplying by g and cutting at bound + 1 reads of g, per branch j:
+    its terms in ascending order, its truncation, order bound and
+    denominator, and bound_j + 1.  `_span` builds it once per generator."""
+    return [(sorted(c.numerators.items()), c.truncation, c.order_lower_bound(), c.denominator,
+             top + 1) for c, top in zip(g.components, bound)]
+
+
+def _cut_product(f, factor):
+    """_cut(f * g, bound) for factor = _factor(g, bound), without forming
+    the terms that the cut drops.
 
     On branch j only the pairs of terms with e1 + e2 <= bound_j are
-    multiplied: the terms of one operand are taken in ascending order, so
-    the inner loop stops at the first pair past the bound.  The truncation
-    is that of the product, cut to bound_j + 1.
+    multiplied: the terms of g are taken in ascending order, so the inner
+    loop stops at the first pair past the bound.  The truncation is that
+    of the product, cut to bound_j + 1.
     """
     cut = []
-    for a, b, top in zip(f.components, g.components, bound):
-        truncation = min(a.truncation + b.order_lower_bound(),
-                         b.truncation + a.order_lower_bound(), top + 1)
-        if len(a.numerators) < len(b.numerators):
-            a, b = b, a
-        inner = sorted(b.numerators.items())
+    for a, (inner, truncation, order, denominator, top) in zip(f.components, factor):
+        numerators = a.numerators
+        truncation = min(a.truncation + order,
+                         truncation + (min(numerators) if numerators else a.truncation), top)
         terms = {}
-        for e1, n1 in a.numerators.items():
+        for e1, n1 in numerators.items():
             limit = truncation - e1
             for e2, n2 in inner:
                 if e2 >= limit:
                     break
-                terms[e1 + e2] = terms.get(e1 + e2, 0) + n1 * n2
-        cut.append(TruncatedSeries._of({e: n for e, n in terms.items() if n},
-                                       a.denominator * b.denominator, truncation))
-    return SeriesTuple(cut)
+                e = e1 + e2
+                terms[e] = terms.get(e, 0) + n1 * n2
+        if not all(terms.values()):
+            terms = {e: n for e, n in terms.items() if n}
+        cut.append(TruncatedSeries._of(terms, a.denominator * denominator, truncation))
+    product = SeriesTuple.__new__(SeriesTuple)
+    product.components = tuple(cut)
+    return product
 
 
 def _span(algebra, bound):
@@ -227,11 +243,12 @@ def _span(algebra, bound):
     one = _cut(SeriesTuple.constant(1, algebra.d), bound)
     echelon = {_lead(one): one}
     for g in generators:
+        factor = _factor(g, bound)
         added = list(echelon.values())
         while added:
             rows, added = added, []
             for row in rows:
-                lead, rest = _reduce(_cut_product(row, g, bound), echelon)
+                lead, rest = _reduce(_cut_product(row, factor), echelon)
                 if lead is not None:
                     echelon[lead] = rest
                     added.append(rest)

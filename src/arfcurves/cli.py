@@ -112,8 +112,17 @@ def _integers(parts, form, text):
     except ValueError:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and any(len(part) > limit for part in parts):
-            form = "%s of at most %d digits each" % (form, limit)
+            form = "%s of at most %d digits%s" % (form, limit, " each" if len(parts) > 1 else "")
         raise InputError("%s, got %s" % (form, _echo(text)))
+
+
+def integer_argument(text):
+    """argparse type of an integer argument.  argparse would repeat a value
+    that type=int rejects in full; this message names its prefix instead."""
+    try:
+        return _integers([text], "expected an integer", text)[0]
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_bound(text):
@@ -280,7 +289,7 @@ def _add_format(parser, default):
 
 
 def _add_truncation(parser):
-    parser.add_argument("--truncation", type=int, default=None,
+    parser.add_argument("--truncation", type=integer_argument, default=None,
                         help="override the truncation order of the curve literal")
 
 
@@ -291,7 +300,7 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("closure", help="Arf closure of a numerical semigroup")
-    sub.add_argument("generators", type=int, nargs="+", metavar="GEN")
+    sub.add_argument("generators", type=integer_argument, nargs="+", metavar="GEN")
     sub.set_defaults(handler=cmd_closure)
 
     sub = commands.add_parser("seq", help="multiplicity sequence of a numerical semigroup, via its Arf closure")

@@ -19,16 +19,20 @@ and hashing are value equality, and every operation runs on ints and
 divides the content out once per result (`_of`).  `coefficients` is a
 read-only Fraction view for printing and inspection, not for arithmetic.
 
-The public constructor validates outside input; arithmetic builds its
-result directly.  Every linear step is one call f.plus_multiple(g, c) =
-f + c*g, and `+` and `-` are its c = +1, -1 cases.
+The public constructor validates outside input.  Arithmetic builds its
+result directly, and so does `parse_series`: one pass over the tokens of a
+literal gives the fraction-free numerators, with integer coefficients kept
+as ints and a Fraction only for p/q.  Every linear step is one call
+f.plus_multiple(g, c) = f + c*g, and `+` and `-` are its c = +1, -1 cases.
 
 SeriesTuple bundles d components, one per branch of a curve, and is the
 element type of the branch-ring algebra computations.
 """
 
+import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DomainError, InputError, TruncationError
@@ -308,22 +312,30 @@ def valuation(element):
     return tuple(orders)
 
 
-_TOKEN = re.compile(r"(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
+# findall gives one (numerator, denominator, name, operator, other) per token;
+# `other` is any non-space character that starts no token, an error.
+_TOKEN = re.compile(r"(?P<numerator>\d+)(?:/(?P<denominator>\d+))?"
+                    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<operator>[*^+-])|(?P<other>\S)")
 
 
-def _tokenize(text):
-    tokens = []
-    position = 0
-    while position < len(text):
-        if text[position].isspace():
-            position += 1
-            continue
-        match = _TOKEN.match(text, position)
-        if match is None:
-            raise InputError("unexpected character %r" % text[position], position + 1)
-        tokens.append((match.group(1), position + 1))
-        position = match.end()
-    return tokens
+def _fail(text, tokens, index, message, got=False):
+    """The InputError at the token `index`, with ", got <token>" when `got`.
+    A character that starts no token is reported instead, wherever it is."""
+    bad = next((i for i, token in enumerate(tokens) if token[4]), None)
+    if bad is not None:
+        index, message, got = bad, "unexpected character %r" % tokens[bad][4], False
+    match = next(itertools.islice(_TOKEN.finditer(text), index, None))
+    return InputError(message + (", got %r" % match.group() if got else ""), match.start() + 1)
+
+
+def _integer(digits, text, tokens, index):
+    """int(digits), or the InputError at the token when the digits pass
+    Python's limit on int() of a string."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise _fail(text, tokens, index, "a number of %d digits exceeds the limit of %d digits"
+                    % (len(digits), sys.get_int_max_str_digits())) from None
 
 
 def parse_series(text, variable, truncation):
@@ -333,77 +345,65 @@ def parse_series(text, variable, truncation):
     only admissible variable is `variable`; anything else, and any negative
     exponent, is reported with its 1-based position in the text.
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise InputError("empty series expression", 1)
-    terms = {}
-    index = 0
-
-    def peek():
-        return tokens[index][0] if index < len(tokens) else None
-
-    def take():
-        nonlocal index
-        token = tokens[index]
+    count, index, terms, fractional = len(tokens), 0, {}, False
+    while index < count:
+        # a sign: optional before the first term, required between terms
+        sign = tokens[index][3]
+        if sign == "+" or sign == "-":
+            index += 1
+            if index == count:
+                raise _fail(text, tokens, index - 1, "dangling %r at the end of the series" % sign)
+        elif index:
+            raise _fail(text, tokens, index, "expected '+' or '-' between terms", got=True)
+        coefficient = -1 if sign == "-" else 1
+        numerator, denominator, name, _, _ = tokens[index]
+        if numerator:
+            coefficient *= _integer(numerator, text, tokens, index)
+            if denominator:
+                q = _integer(denominator, text, tokens, index)
+                if not q:
+                    raise _fail(text, tokens, index,
+                                "zero denominator in %r" % (numerator + "/" + denominator))
+                coefficient, fractional = Fraction(coefficient, q), True
+            index += 1
+            if index < count and tokens[index][3] == "*":
+                index += 1
+                if index == count:
+                    raise _fail(text, tokens, index - 1, "expected a variable after '*'")
+            elif index == count or not tokens[index][2]:
+                terms[0] = terms.get(0, 0) + coefficient
+                continue
+            name = tokens[index][2]
+        if not name:
+            raise _fail(text, tokens, index, "expected a variable name", got=True)
+        if name != variable:
+            raise _fail(text, tokens, index, "unknown variable %r (expected %r)" % (name, variable))
+        at, exponent = index, 1
         index += 1
-        return token
-
-    def parse_term(sign):
-        token, position = take()
-        coefficient = Fraction(sign)
-        if re.fullmatch(r"\d+/\d+|\d+", token):
-            if re.fullmatch(r"\d+/0+", token):
-                raise InputError("zero denominator in %r" % token, position)
-            coefficient *= Fraction(token)
-            if peek() == "*":
-                _, star_position = take()
-                if peek() is None:
-                    raise InputError("expected a variable after '*'", star_position)
-                token, position = take()
-            elif peek() is not None and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", peek()):
-                token, position = take()
-            else:
-                terms[0] = terms.get(0, Fraction(0)) + coefficient
-                return
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", token):
-            raise InputError("expected a variable name, got %r" % token, position)
-        if token != variable:
-            raise InputError("unknown variable %r (expected %r)" % (token, variable), position)
-        exponent = 1
-        if peek() == "^":
-            take()
-            negative = False
-            if peek() == "-":
-                _, minus_position = take()
-                negative = True
-            if peek() is None or not re.fullmatch(r"\d+", peek()):
-                raise InputError(
-                    "expected an exponent after '^'",
-                    tokens[index][1] if index < len(tokens) else position,
-                )
-            digits, digits_position = take()
+        if index < count and tokens[index][3] == "^":
+            index += 1
+            negative = index < count and tokens[index][3] == "-"
             if negative:
-                raise InputError("negative exponents are not allowed", minus_position)
-            exponent = int(digits)
+                index += 1
+            if index == count or not tokens[index][0] or tokens[index][1]:
+                raise _fail(text, tokens, index if index < count else at,
+                            "expected an exponent after '^'")
+            if negative:
+                raise _fail(text, tokens, index - 1, "negative exponents are not allowed")
+            exponent = _integer(tokens[index][0], text, tokens, index)
+            index += 1
         if exponent >= truncation:
-            raise InputError(
-                "exponent %d is not below the truncation order %d" % (exponent, truncation),
-                position,
-            )
-        terms[exponent] = terms.get(exponent, Fraction(0)) + coefficient
-
-    sign = 1
-    if peek() in ("+", "-"):
-        token, position = take()
-        if index >= len(tokens):
-            raise InputError("dangling %r at the end of the series" % token, position)
-        sign = -1 if token == "-" else 1
-    parse_term(sign)
-    while index < len(tokens):
-        token, position = take()
-        if token not in ("+", "-"):
-            raise InputError("expected '+' or '-' between terms, got %r" % token, position)
-        if index >= len(tokens):
-            raise InputError("dangling %r at the end of the series" % token, position)
-        parse_term(-1 if token == "-" else 1)
-    return TruncatedSeries(terms, truncation)
+            raise _fail(text, tokens, at, "exponent %d is not below the truncation order %d"
+                        % (exponent, truncation))
+        terms[exponent] = terms.get(exponent, 0) + coefficient
+    if truncation <= 0:
+        return TruncatedSeries(terms, truncation)  # the constructor's error
+    numerators = {e: c for e, c in terms.items() if c}
+    if not fractional:
+        return TruncatedSeries._of(numerators, 1, truncation)
+    denominator = math.lcm(*(c.denominator for c in numerators.values()))
+    return TruncatedSeries._of({e: c.numerator * (denominator // c.denominator)
+                                for e, c in numerators.items()}, denominator, truncation)

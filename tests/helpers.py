@@ -1,19 +1,20 @@
 """Shared oracles and random generators for the test suite."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 
 from arfcurves import branch_ring
 from arfcurves.char_vectors import CharacterVectorSet, smallest_arf_containing
-from arfcurves.errors import DomainError, ValidationError
+from arfcurves.errors import DomainError, InputError, ValidationError
 from arfcurves.good_semigroup import _boxed
 from arfcurves.mult_tree import (MultiplicityTree, tree_intersection,
                                  tree_to_semigroup)
 from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_closure,
                                  semigroup_to_seq)
-from arfcurves.series import SeriesTuple
+from arfcurves.series import SeriesTuple, TruncatedSeries
 
 
 def xyz_closure_oracle(generators):
@@ -504,3 +505,106 @@ def value_set_oracle(algebra, bound):
         if all(any(v[offsets[j] + alpha[j]] for v in space) for j in range(d)):
             values.add(alpha)
     return values
+
+
+_ORACLE_TOKEN = re.compile(r"(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
+
+
+def _oracle_tokens(text):
+    tokens = []
+    position = 0
+    while position < len(text):
+        if text[position].isspace():
+            position += 1
+            continue
+        match = _ORACLE_TOKEN.match(text, position)
+        if match is None:
+            raise InputError("unexpected character %r" % text[position], position + 1)
+        tokens.append((match.group(1), position + 1))
+        position = match.end()
+    return tokens
+
+
+def parse_series_oracle(text, variable, truncation):
+    """`series.parse_series` by the tokenize-then-parse reader it replaced.
+
+    As an oracle for the one-pass parser it shares no code with it: the
+    tokens are collected with their positions first, each token is matched
+    again for its role, the terms are summed as Fractions, and the public
+    TruncatedSeries constructor builds the result.  A number longer than
+    Python's limit on int() of a string raises the ValueError of int().
+    """
+    tokens = _oracle_tokens(text)
+    if not tokens:
+        raise InputError("empty series expression", 1)
+    terms = {}
+    index = 0
+
+    def peek():
+        return tokens[index][0] if index < len(tokens) else None
+
+    def take():
+        nonlocal index
+        token = tokens[index]
+        index += 1
+        return token
+
+    def parse_term(sign):
+        token, position = take()
+        coefficient = Fraction(sign)
+        if re.fullmatch(r"\d+/\d+|\d+", token):
+            if re.fullmatch(r"\d+/0+", token):
+                raise InputError("zero denominator in %r" % token, position)
+            coefficient *= Fraction(token)
+            if peek() == "*":
+                _, star_position = take()
+                if peek() is None:
+                    raise InputError("expected a variable after '*'", star_position)
+                token, position = take()
+            elif peek() is not None and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", peek()):
+                token, position = take()
+            else:
+                terms[0] = terms.get(0, Fraction(0)) + coefficient
+                return
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", token):
+            raise InputError("expected a variable name, got %r" % token, position)
+        if token != variable:
+            raise InputError("unknown variable %r (expected %r)" % (token, variable), position)
+        exponent = 1
+        if peek() == "^":
+            take()
+            negative = False
+            if peek() == "-":
+                _, minus_position = take()
+                negative = True
+            if peek() is None or not re.fullmatch(r"\d+", peek()):
+                raise InputError(
+                    "expected an exponent after '^'",
+                    tokens[index][1] if index < len(tokens) else position,
+                )
+            digits, digits_position = take()
+            if negative:
+                raise InputError("negative exponents are not allowed", minus_position)
+            exponent = int(digits)
+        if exponent >= truncation:
+            raise InputError(
+                "exponent %d is not below the truncation order %d" % (exponent, truncation),
+                position,
+            )
+        terms[exponent] = terms.get(exponent, Fraction(0)) + coefficient
+
+    sign = 1
+    if peek() in ("+", "-"):
+        token, position = take()
+        if index >= len(tokens):
+            raise InputError("dangling %r at the end of the series" % token, position)
+        sign = -1 if token == "-" else 1
+    parse_term(sign)
+    while index < len(tokens):
+        token, position = take()
+        if token not in ("+", "-"):
+            raise InputError("expected '+' or '-' between terms, got %r" % token, position)
+        if index >= len(tokens):
+            raise InputError("dangling %r at the end of the series" % token, position)
+        parse_term(-1 if token == "-" else 1)
+    return TruncatedSeries(terms, truncation)

@@ -468,10 +468,13 @@ def test_value_set_matches_saturation_oracle_on_blowups():
 
 
 def assert_span_matches_queue(algebra, bound):
-    """_span is an echelon basis with the lead set of the queue oracle's."""
+    """_span is an echelon basis of the queue oracle's space: the same leads,
+    and every row reduces to zero against the oracle's rows."""
     span = branch_ring._span(algebra, bound)
+    oracle = queue_span_oracle(algebra, bound)
     assert all(branch_ring._lead(row) == lead for lead, row in span.items())
-    assert set(span) == set(queue_span_oracle(algebra, bound))
+    assert set(span) == set(oracle)
+    assert all(branch_ring._reduce(row, oracle)[0] is None for row in span.values())
     return span
 
 
@@ -489,6 +492,53 @@ def test_span_matches_queue_oracle():
                       for _ in range(algebra.d))
         rows += len(assert_span_matches_queue(shuffled, bound))
     assert rows > 3000
+
+
+def fraction_curve(rng):
+    """1-3 branches at truncation 10-30; each component is 0 or 1-3 terms of
+    degree 1-7 whose coefficients are p/q with leads other than +-1."""
+    d = rng.randint(1, 3)
+
+    def component(s):
+        if rng.random() <= 0.15:
+            return "0"
+        exponents = sorted(rng.sample(range(1, 8), rng.randint(1, 3)))
+        return "".join("%s%s*%s^%d" % (rng.choice("+-"), rng.choice(["2", "3/2", "5/3", "7/4", "1/6"]),
+                                       s, e) for e in exponents).lstrip("+")
+
+    while True:
+        generators = [[component(s) for s in "tuv"[:d]] for _ in range(rng.randint(2, 3))]
+        try:
+            return curve(*generators, truncation=rng.randint(10, 30))
+        except ValidationError:
+            continue
+
+
+def test_span_matches_queue_oracle_with_fraction_leads():
+    rng = random.Random(17)
+    fractional = 0
+    for _ in range(150):
+        algebra = fraction_curve(rng)
+        bound = tuple(rng.randint(0, min(10, algebra.truncation_order - 1))
+                      for _ in range(algebra.d))
+        span = assert_span_matches_queue(algebra, bound)
+        fractional += any(c.denominator > 1 for row in span.values() for c in row.components)
+    assert fractional > 75
+
+
+def test_eliminate_matches_the_fraction_multiplier():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(400):
+        d = rng.randint(1, 3)
+        f, g = random_operand(rng, d), random_operand(rng, d)
+        for j in range(d):
+            a, b = f.components[j], g.components[j]
+            for e in set(a.numerators) & set(b.numerators):
+                multiplier = -a.coefficients[e] / b.coefficients[e]
+                assert branch_ring._eliminate(f, g, j, e) == f.plus_multiple(g, multiplier)
+                checked += 1
+    assert checked > 100
 
 
 # a plane branch pair whose staged span costs up to 15 times more unsorted
@@ -542,7 +592,8 @@ def test_cut_product_is_the_cut_of_the_product():
         bound = tuple(rng.randint(0, 12) for _ in range(d))
         if rng.random() < 0.5:
             f, g = branch_ring._cut(f, bound), branch_ring._cut(g, bound)
-        assert branch_ring._cut_product(f, g, bound) == branch_ring._cut(f * g, bound)
+        factor = branch_ring._factor(g, bound)
+        assert branch_ring._cut_product(f, factor) == branch_ring._cut(f * g, bound)
 
 
 def test_one_lambda_per_minimum():

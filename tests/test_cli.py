@@ -400,6 +400,41 @@ def test_long_or_huge_arguments_give_a_short_error(capsys):
         assert captured.err.startswith("error: " + message)
         assert len(captured.err) < 300 and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+    # argparse converts GEN and --truncation, and prints its usage first
+    for argv, message in [
+            (["closure", "4", huge], "argument GEN: expected an integer of at most %d digits, "
+                                     "got %r..." % (limit, huge[:40])),
+            (["closure", "4", "x"], "argument GEN: expected an integer, got 'x'"),
+            (["curve", "tree", CURVE_B, "--truncation", "8" * 50000],
+             "argument --truncation: expected an integer of at most %d digits, got %r..."
+             % (limit, "8" * 40)),
+            (["curve", "tree", CURVE_B, "--truncation", "6" * 45 + "x"],
+             "argument --truncation: expected an integer, got %r..." % ("6" * 40,))]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv[:2]
+        assert captured.out == ""
+        assert captured.err.startswith("usage: arfcurves ")
+        assert captured.err.endswith(" error: " + message + "\n")
+        assert len(captured.err) < 400
+        assert "Traceback" not in captured.err
+
+
+def test_huge_series_numbers_give_a_short_error(capsys, tmp_path):
+    # an exponent or coefficient past Python's limit on int() of a string
+    # is refused with its position, not with a traceback
+    limit = sys.get_int_max_str_digits()
+    for generator, position in ((["t^" + "9" * 5000], 3), (["1" + "0" * 5000 + "*t^6"], 1)):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"d": 1, "generators": [["t^4"], generator]}))
+        code = main(["curve", "tree", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: a number of ")
+        assert captured.err.endswith(" digits exceeds the limit of %d digits (at position %d)\n"
+                                     % (limit, position))
+        assert len(captured.err) < 300 and "Traceback" not in captured.err
 
 
 def test_truncation_order_has_a_limit(capsys):

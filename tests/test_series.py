@@ -1,4 +1,7 @@
 import math
+import random
+import re
+import sys
 import time
 from fractions import Fraction
 
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 from arfcurves.errors import DomainError, InputError, TruncationError
 from arfcurves.series import (EXACT, SeriesTuple, TruncatedSeries, parse_series,
                               valuation)
+
+from helpers import parse_series_oracle
 
 
 def series(text, variable="t", truncation=64):
@@ -162,6 +167,60 @@ def test_parse_series_positioned_errors():
         parse_series("-", "t", 64)
     with pytest.raises(InputError, match=r"zero denominator.*position 2"):
         parse_series("-1/0*t", "t", 64)
+
+
+# digits, names and operators, with "t" and "t^" weighted up so that about
+# one parse in ten succeeds
+FUZZ_PIECES = list("0123456789") + ["t", "t", "t^", "t^", "u", "_", "/", "^", "*", "+", "-",
+                                     " ", "\t"]
+
+
+def parse_outcome(parse, text, truncation):
+    try:
+        series = parse(text, "t", truncation)
+    except (InputError, TruncationError) as exc:
+        return type(exc), str(exc)
+    return series.numerators, series.denominator, series.truncation
+
+
+def test_parse_series_matches_the_oracle_on_fuzzed_strings():
+    rng = random.Random(17)
+    parsed, messages = 0, set()
+    for _ in range(50000):
+        text = "".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(0, 12)))
+        for truncation in (1, 5, 64):
+            outcome = parse_outcome(parse_series, text, truncation)
+            assert outcome == parse_outcome(parse_series_oracle, text, truncation), text
+            if len(outcome) == 3:
+                # canonical: what the public constructor makes of the coefficients
+                series = parse_series(text, "t", truncation)
+                assert series == TruncatedSeries(series.coefficients, truncation)
+                assert 0 not in series.numerators.values()
+                assert math.gcd(series.denominator, *series.numerators.values()) == 1
+                parsed += 1
+            else:
+                messages.add(re.sub(r"\d+|'[^']*'", "", outcome[1]))
+    # the corpus parses and reaches every message of the parser
+    assert parsed > 10000 and len(messages) == 11, messages
+
+
+def test_parse_series_keeps_ints_and_reads_fractions():
+    f = parse_series("2*t^3-1/2*t^5+3/4+t^3", "t", 8)
+    assert (f.numerators, f.denominator, f.truncation) == ({0: 3, 3: 12, 5: -2}, 4, 8)
+    f = parse_series("1/2*t+1/2*t", "t", 8)
+    assert (f.numerators, f.denominator) == ({1: 1}, 1)
+    assert type(f.numerators[1]) is int
+
+
+def test_parse_series_refuses_numbers_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for text, position in (("t^4+t^" + "9" * (limit + 700), 7),
+                           ("1" + "0" * (limit + 1) + "*t^6", 1),
+                           ("t^2 + 3/" + "7" * (limit + 1), 7)):
+        with pytest.raises(InputError) as caught:
+            parse_series(text, "t", 64)
+        assert str(caught.value).endswith(
+            "exceeds the limit of %d digits (at position %d)" % (limit, position))
 
 
 def test_to_string_round_trips():
