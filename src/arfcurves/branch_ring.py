@@ -79,9 +79,10 @@ class LocalAlgebra:
                         "no generator has a nonzero component on branch %d" % (j + 1,)
                     )
         else:
+            # only a generator with a constant moves: with c = 0 the sum is g
             one = SeriesTuple.constant(1, d)
             generators = [g.plus_multiple(one, -g.components[0].constant_term())
-                          for g in generators]
+                          if 0 in g.components[0].numerators else g for g in generators]
         kept = [g for g in generators if not g.is_zero()]
         if not kept:
             raise DomainError("every generator reduced to zero")
@@ -435,7 +436,12 @@ def blowup(algebra):
     folded into one by `_min_sum`: each fold x + lambda*g keeps the
     componentwise minimum of the values.  A
     generator is preferred because a folded x is dense and slows every
-    division by it.
+    division by it.  A generator x is not divided by itself: x/x is the
+    constant 1, which the normalization by first-branch constants turns
+    into zero and `LocalAlgebra` drops.  A folded x is no generator, and
+    every generator is divided by it.  A divisor whose lead is not +-1
+    (2t^2 + ..., or a fold) is common; its quotients scale by doubling
+    powers of the lead (see `TruncatedSeries.__truediv__`).
     """
     if not is_local_ring(algebra):
         raise DomainError("blowup requires a local algebra; blow up its local pieces instead")
@@ -445,7 +451,8 @@ def blowup(algebra):
         x = algebra.generators[0]
         for g in algebra.generators[1:]:
             x = _min_sum(x, g, bound)
-    return LocalAlgebra([x] + [g / x for g in algebra.generators], validate=False)
+    return LocalAlgebra([x] + [g / x for g in algebra.generators if g is not x],
+                        validate=False)
 
 
 def branch_multiplicity_sequence(algebra):

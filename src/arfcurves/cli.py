@@ -11,20 +11,11 @@ import argparse
 import json
 import sys
 
-from .errors import DomainError, InputError, literal_ints
+from .errors import DomainError, InputError, echo, literal_ints
 
 
 def dumps(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-# characters of an inline literal or argument that an error message repeats
-LITERAL_ECHO = 40
-
-
-def _echo(text):
-    """repr of the first LITERAL_ECHO characters of text, marked when cut."""
-    return repr(text[:LITERAL_ECHO]) + ("..." if len(text) > LITERAL_ECHO else "")
 
 
 def read_json(source):
@@ -34,7 +25,7 @@ def read_json(source):
     first LITERAL_ECHO characters, so a long literal gives a short line."""
     if source.lstrip().startswith("{"):
         text = source
-        name = _echo(source)
+        name = echo(source)
     else:
         name = repr(source)
         try:
@@ -113,7 +104,7 @@ def _integers(parts, form, text):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and any(len(part) > limit for part in parts):
             form = "%s of at most %d digits%s" % (form, limit, " each" if len(parts) > 1 else "")
-        raise InputError("%s, got %s" % (form, _echo(text)))
+        raise InputError("%s, got %s" % (form, echo(text)))
 
 
 def integer_argument(text):
@@ -133,7 +124,7 @@ def parse_witness(text):
     form = "witness node must be LEVEL:BRANCH"
     parts = text.split(":")
     if len(parts) != 2:
-        raise InputError("%s, got %s" % (form, _echo(text)))
+        raise InputError("%s, got %s" % (form, echo(text)))
     return _integers(parts, form, text)
 
 

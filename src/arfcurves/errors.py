@@ -25,6 +25,15 @@ class InputError(ValueError):
         self.position = position
 
 
+# characters of an inline literal, argument or token that a message repeats
+LITERAL_ECHO = 40
+
+
+def echo(text):
+    """repr of the first LITERAL_ECHO characters of text, marked when cut."""
+    return repr(text[:LITERAL_ECHO]) + ("..." if len(text) > LITERAL_ECHO else "")
+
+
 def literal_int(value, what):
     """An integer field of a literal; anything else is malformed input."""
     if isinstance(value, bool) or not isinstance(value, Integral):

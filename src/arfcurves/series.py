@@ -16,8 +16,11 @@ The coefficients are held fraction-free: nonzero integer numerators below
 the truncation over one positive integer denominator, with content
 gcd(denominator, *numerators) == 1.  That form is canonical, so equality
 and hashing are value equality, and every operation runs on ints and
-divides the content out once per result (`_of`).  `coefficients` is a
-read-only Fraction view for printing and inspection, not for arithmetic.
+divides the content out once per result (`_of`).  A quotient is integer
+long division that scales the remainder by doubling powers of the
+divisor's lead when the lead does not divide a term, so it costs its
+quotient terms plus O(log t) rescales.  `coefficients` is a read-only
+Fraction view for printing and inspection, not for arithmetic.
 
 The public constructor validates outside input.  Arithmetic builds its
 result directly, and so does `parse_series`: one pass over the tokens of a
@@ -35,7 +38,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, InputError, TruncationError
+from .errors import LITERAL_ECHO, DomainError, InputError, TruncationError, echo
 
 # Truncation order of exactly known series (constants).  Large enough that
 # it never constrains a computation; small enough that sums of a few of
@@ -154,8 +157,13 @@ class TruncatedSeries:
 
         Integer long division of the numerators: when the divisor's lead
         does not divide the current remainder term, the remainder and the
-        quotient are scaled by lead / gcd(term, lead) first, and the scale
-        joins the denominator.  A lead of +-1 never scales."""
+        quotient are scaled first, and the scale joins the denominator.
+        The i-th scale (i = 0, 1, ...) at term e is |lead|^min(2^i, t - e)
+        for the quotient's truncation t.  Scaled by |lead|^k at term e, the
+        quotient terms e..e+k-1 come out integral, so the next scale comes
+        k terms later at the earliest: a division scales O(log t) times, and
+        by at most the |lead|^(t - e) that a dense quotient from its first
+        term e needs anyway.  A lead of +-1 never scales."""
         v = other.order()
         if v is None:
             raise DomainError("division by a series with no known terms")
@@ -173,7 +181,7 @@ class TruncatedSeries:
         lead = divisor.pop(0)
         remainder = {e - v: n for e, n in self.numerators.items() if e - v < truncation}
         quotient = {}
-        scale = 1
+        scale, power = 1, 1
         for e in range(truncation):
             if not remainder:
                 break
@@ -181,7 +189,8 @@ class TruncatedSeries:
             if not r:
                 continue
             if r % lead:
-                s = abs(lead) // math.gcd(r, lead)
+                s = abs(lead) ** min(power, truncation - e)
+                power *= 2
                 remainder = {k: s * n for k, n in remainder.items()}
                 quotient = {k: s * n for k, n in quotient.items()}
                 scale *= s
@@ -325,7 +334,7 @@ def _fail(text, tokens, index, message, got=False):
     if bad is not None:
         index, message, got = bad, "unexpected character %r" % tokens[bad][4], False
     match = next(itertools.islice(_TOKEN.finditer(text), index, None))
-    return InputError(message + (", got %r" % match.group() if got else ""), match.start() + 1)
+    return InputError(message + (", got " + echo(match.group()) if got else ""), match.start() + 1)
 
 
 def _integer(digits, text, tokens, index):
@@ -366,7 +375,7 @@ def parse_series(text, variable, truncation):
                 q = _integer(denominator, text, tokens, index)
                 if not q:
                     raise _fail(text, tokens, index,
-                                "zero denominator in %r" % (numerator + "/" + denominator))
+                                "zero denominator in " + echo(numerator + "/" + denominator))
                 coefficient, fractional = Fraction(coefficient, q), True
             index += 1
             if index < count and tokens[index][3] == "*":
@@ -380,7 +389,8 @@ def parse_series(text, variable, truncation):
         if not name:
             raise _fail(text, tokens, index, "expected a variable name", got=True)
         if name != variable:
-            raise _fail(text, tokens, index, "unknown variable %r (expected %r)" % (name, variable))
+            raise _fail(text, tokens, index,
+                        "unknown variable %s (expected %s)" % (echo(name), echo(variable)))
         at, exponent = index, 1
         index += 1
         if index < count and tokens[index][3] == "^":
@@ -396,8 +406,11 @@ def parse_series(text, variable, truncation):
             exponent = _integer(tokens[index][0], text, tokens, index)
             index += 1
         if exponent >= truncation:
-            raise _fail(text, tokens, at, "exponent %d is not below the truncation order %d"
-                        % (exponent, truncation))
+            digits = str(exponent)
+            if len(digits) > LITERAL_ECHO:
+                digits = digits[:LITERAL_ECHO] + "..."
+            raise _fail(text, tokens, at, "exponent %s is not below the truncation order %d"
+                        % (digits, truncation))
         terms[exponent] = terms.get(exponent, 0) + coefficient
     if truncation <= 0:
         return TruncatedSeries(terms, truncation)  # the constructor's error

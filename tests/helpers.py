@@ -1,6 +1,7 @@
 """Shared oracles and random generators for the test suite."""
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from arfcurves import branch_ring
 from arfcurves.char_vectors import CharacterVectorSet, smallest_arf_containing
-from arfcurves.errors import DomainError, InputError, ValidationError
+from arfcurves.errors import DomainError, InputError, TruncationError, ValidationError
 from arfcurves.good_semigroup import _boxed
 from arfcurves.mult_tree import (MultiplicityTree, tree_intersection,
                                  tree_to_semigroup)
@@ -507,7 +508,97 @@ def value_set_oracle(algebra, bound):
     return values
 
 
+def series_division_oracle(self, other):
+    """`TruncatedSeries.__truediv__` by the long division it replaced, which
+    scales the remainder and the quotient by lead / gcd(term, lead) each
+    time the divisor's lead fails to divide a term.
+
+    As an oracle for the doubling rescale it finds the smallest scale term
+    by term; its body is the replaced method word for word, so it takes
+    the dividend as `self`.
+    """
+    v = other.order()
+    if v is None:
+        raise DomainError("division by a series with no known terms")
+    if self.numerators and min(self.numerators) < v:
+        raise DomainError(
+            "series division needs dividend order >= divisor order (%d < %d)"
+            % (min(self.numerators), v)
+        )
+    truncation = min(self.truncation, other.truncation) - v
+    if truncation <= 0:
+        raise TruncationError(
+            "truncation exhausted in series division; rerun with a larger truncation order"
+        )
+    divisor = {e - v: n for e, n in other.numerators.items() if e - v < truncation}
+    lead = divisor.pop(0)
+    remainder = {e - v: n for e, n in self.numerators.items() if e - v < truncation}
+    quotient = {}
+    scale = 1
+    for e in range(truncation):
+        if not remainder:
+            break
+        r = remainder.pop(e, 0)
+        if not r:
+            continue
+        if r % lead:
+            s = abs(lead) // math.gcd(r, lead)
+            remainder = {k: s * n for k, n in remainder.items()}
+            quotient = {k: s * n for k, n in quotient.items()}
+            scale *= s
+            r *= s
+        q = r // lead
+        quotient[e] = q
+        for de, n in divisor.items():
+            if e + de < truncation:
+                remainder[e + de] = remainder.get(e + de, 0) - q * n
+    # self/other = (quotient/scale) * (other.denominator/self.denominator)
+    return TruncatedSeries._of(
+        {e: q * other.denominator for e, q in quotient.items()},
+        scale * self.denominator, truncation)
+
+
+def blowup_oracle(algebra):
+    """`branch_ring.blowup` as it was before it skipped x/x: every generator,
+    x included, is divided by x with `series_division_oracle`, and every
+    generator of the result is normalized by its first-branch constant,
+    including those that have none.  Zero generators are dropped."""
+    if not branch_ring.is_local_ring(algebra):
+        raise DomainError("blowup requires a local algebra; blow up its local pieces instead")
+    bound = branch_ring._fm_bound(algebra)
+    x = next((g for g in algebra.generators if branch_ring._capped_key(g, bound) == bound), None)
+    if x is None:
+        x = algebra.generators[0]
+        for g in algebra.generators[1:]:
+            x = branch_ring._min_sum(x, g, bound)
+    quotients = [SeriesTuple([series_division_oracle(a, b)
+                              for a, b in zip(g.components, x.components)])
+                 for g in algebra.generators]
+    one = SeriesTuple.constant(1, algebra.d)
+    normalized = [g.plus_multiple(one, -g.components[0].constant_term())
+                  for g in [x] + quotients]
+    kept = [g for g in normalized if not g.is_zero()]
+    if not kept:
+        raise DomainError("every generator reduced to zero")
+    blown = branch_ring.LocalAlgebra.__new__(branch_ring.LocalAlgebra)
+    blown.d = algebra.d
+    blown.generators = tuple(kept)
+    blown.truncation_order = min(c.truncation for g in kept for c in g.components)
+    return blown
+
+
 _ORACLE_TOKEN = re.compile(r"(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
+
+
+def _oracle_cut(text):
+    """The first 40 characters of text, then "..." when it is longer."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _oracle_quote(text):
+    """A token as the parser's messages quote it: the repr of its first 40
+    characters, then "..." when it is longer."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
 def _oracle_tokens(text):
@@ -533,6 +624,8 @@ def parse_series_oracle(text, variable, truncation):
     again for its role, the terms are summed as Fractions, and the public
     TruncatedSeries constructor builds the result.  A number longer than
     Python's limit on int() of a string raises the ValueError of int().
+    Its messages cut a quoted token or an exponent to 40 characters, as the
+    parser's do.
     """
     tokens = _oracle_tokens(text)
     if not tokens:
@@ -554,7 +647,7 @@ def parse_series_oracle(text, variable, truncation):
         coefficient = Fraction(sign)
         if re.fullmatch(r"\d+/\d+|\d+", token):
             if re.fullmatch(r"\d+/0+", token):
-                raise InputError("zero denominator in %r" % token, position)
+                raise InputError("zero denominator in %s" % _oracle_quote(token), position)
             coefficient *= Fraction(token)
             if peek() == "*":
                 _, star_position = take()
@@ -567,9 +660,10 @@ def parse_series_oracle(text, variable, truncation):
                 terms[0] = terms.get(0, Fraction(0)) + coefficient
                 return
         if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", token):
-            raise InputError("expected a variable name, got %r" % token, position)
+            raise InputError("expected a variable name, got %s" % _oracle_quote(token), position)
         if token != variable:
-            raise InputError("unknown variable %r (expected %r)" % (token, variable), position)
+            raise InputError("unknown variable %s (expected %s)"
+                             % (_oracle_quote(token), _oracle_quote(variable)), position)
         exponent = 1
         if peek() == "^":
             take()
@@ -588,7 +682,8 @@ def parse_series_oracle(text, variable, truncation):
             exponent = int(digits)
         if exponent >= truncation:
             raise InputError(
-                "exponent %d is not below the truncation order %d" % (exponent, truncation),
+                "exponent %s is not below the truncation order %d"
+                % (_oracle_cut(str(exponent)), truncation),
                 position,
             )
         terms[exponent] = terms.get(exponent, Fraction(0)) + coefficient
@@ -603,7 +698,8 @@ def parse_series_oracle(text, variable, truncation):
     while index < len(tokens):
         token, position = take()
         if token not in ("+", "-"):
-            raise InputError("expected '+' or '-' between terms, got %r" % token, position)
+            raise InputError("expected '+' or '-' between terms, got %s" % _oracle_quote(token),
+                             position)
         if index >= len(tokens):
             raise InputError("dangling %r at the end of the series" % token, position)
         parse_term(-1 if token == "-" else 1)

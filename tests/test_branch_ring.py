@@ -23,9 +23,9 @@ from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_c
                                  semigroup_to_seq)
 from arfcurves.series import SeriesTuple, TruncatedSeries, parse_series
 
-from helpers import (pairwise_partition_oracle, queue_span_oracle, saturation_basis,
-                     saturation_partition_oracle, saturation_value_set_oracle,
-                     value_set_oracle)
+from helpers import (blowup_oracle, pairwise_partition_oracle, queue_span_oracle,
+                     saturation_basis, saturation_partition_oracle,
+                     saturation_value_set_oracle, value_set_oracle)
 
 
 def curve(*generators, **kwargs):
@@ -524,6 +524,65 @@ def test_span_matches_queue_oracle_with_fraction_leads():
         span = assert_span_matches_queue(algebra, bound)
         fractional += any(c.denominator > 1 for row in span.values() for c in row.components)
     assert fractional > 75
+
+
+def blowups_match_oracle(algebra):
+    """Grow the tree of `algebra` and compare every blowup with the oracle:
+    the same generators and truncation order, or the same error.  Returns
+    (folded, unit) per blowup: whether x is a fold of the generators, and
+    whether its leads are all +-1."""
+    seen = []
+    real = branch_ring.blowup
+
+    def checked(current):
+        try:
+            expected = blowup_oracle(current)
+        except DomainError as exc:
+            expected = (type(exc), str(exc))
+        try:
+            blown = real(current)
+        except DomainError as exc:
+            assert (type(exc), str(exc)) == expected
+            raise
+        assert not isinstance(expected, tuple), expected
+        assert blown.generators == expected.generators
+        assert blown.truncation_order == expected.truncation_order
+        bound = branch_ring._fm_bound(current)
+        x = blown.generators[0].components
+        seen.append((all(branch_ring._capped_key(g, bound) != bound for g in current.generators),
+                     all(c.numerators[min(c.numerators)] in (c.denominator, -c.denominator)
+                         for c in x)))
+        return blown
+
+    with mock.patch.object(branch_ring, "blowup", checked):
+        try:
+            multiplicity_tree_of_curve(algebra)
+        except TruncationError:
+            pass
+    return seen
+
+
+FOLDED = curve(["t^2", "u^3"], ["-t^2", "u^4"], ["t^5", "u^2"])
+
+
+def test_blowup_matches_the_oracle_on_goldens_and_random_curves():
+    # the oracle divides x by itself and normalizes every generator, with
+    # the long division that scales by lead / gcd term by term
+    seen = []
+    for algebra in [algebra for algebra, _ in GOLDEN_BOXES] + [THREE, FOLDED]:
+        seen += blowups_match_oracle(algebra)
+    rng = random.Random(18)
+    drawn = Counter()
+    for _ in range(300):
+        algebra = random_curve(rng, min_branches=1)
+        drawn[algebra.d] += 1
+        seen += blowups_match_oracle(algebra)
+    for _ in range(100):
+        seen += blowups_match_oracle(fraction_curve(rng))
+    counts = Counter(seen)
+    # every kind of x is reached: a generator or a fold, with unit leads or not
+    assert sorted(drawn) == [1, 2, 3, 4]
+    assert all(counts[kind] >= 10 for kind in itertools.product((False, True), repeat=2)), counts
 
 
 def test_eliminate_matches_the_fraction_multiplier():

@@ -437,6 +437,26 @@ def test_huge_series_numbers_give_a_short_error(capsys, tmp_path):
         assert len(captured.err) < 300 and "Traceback" not in captured.err
 
 
+def test_long_series_tokens_give_a_short_error(capsys, tmp_path):
+    # a token that a series message quotes, or an exponent it names, is cut
+    # to its first 40 characters
+    for generator, message in (
+            ("t^4 " + "9" * 4000, "expected '+' or '-' between terms, got %r..." % ("9" * 40,)),
+            ("1/" + "0" * 4000, "zero denominator in %r..." % ("1/" + "0" * 38,)),
+            ("t^" + "9" * 4000,
+             "exponent %s... is not below the truncation order 64" % ("9" * 40,)),
+            ("x" * 4000 + "^2", "unknown variable %r... (expected 't')" % ("x" * 40,))):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"d": 1, "generators": [["t^4"], [generator]]}))
+        code = main(["curve", "tree", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message + " (at position ")
+        assert len(captured.err.encode()) < 200 and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 def test_truncation_order_has_a_limit(capsys):
     # a sparse quotient stops with its remainder, so the largest allowed
     # order answers at once; one more is refused before any series is built

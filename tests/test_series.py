@@ -13,7 +13,7 @@ from arfcurves.errors import DomainError, InputError, TruncationError
 from arfcurves.series import (EXACT, SeriesTuple, TruncatedSeries, parse_series,
                               valuation)
 
-from helpers import parse_series_oracle
+from helpers import parse_series_oracle, series_division_oracle
 
 
 def series(text, variable="t", truncation=64):
@@ -108,6 +108,93 @@ def test_division_inverts_multiplication():
     assert ((f * g) / g).coefficients == f.coefficients
 
 
+def test_division_scales_with_its_quotient_not_per_term():
+    # the lead 3 fails to divide every term: rescaling the remainder and the
+    # quotient by the smallest factor each time takes over 10 s; doubling
+    # powers of the lead rescale 13 times
+    truncation = 8000
+    start = time.perf_counter()
+    q = series("1", truncation=truncation) / series("3+t", truncation=truncation)
+    assert time.perf_counter() - start < 2.0
+    # 1/(3+t) = sum (-1)^k t^k / 3^(k+1), over the denominator 3^8000
+    assert q.denominator == 3 ** truncation and q.truncation == truncation
+    assert q.numerators == {k: (-1) ** k * 3 ** (truncation - 1 - k) for k in range(truncation)}
+
+
+DIVISION_LEADS = (1, -1, 2, -2, 3, 6, -6, Fraction(2, 3), Fraction(-5, 4), Fraction(7, 6), 2 ** 60)
+
+
+def random_divisor(rng, truncation):
+    """A divisor of order 0-5 with a lead from DIVISION_LEADS, dense (every
+    exponent) or sparse (at most four more terms); now and then zero."""
+    if rng.random() < 0.03:
+        return TruncatedSeries({}, truncation)
+    v = rng.randint(0, min(5, truncation - 1))
+    terms = {v: rng.choice(DIVISION_LEADS)}
+    rest = range(v + 1, truncation)
+    exponents = rest if rng.random() < 0.5 else rng.sample(rest, min(len(rest), rng.randint(0, 4)))
+    for e in exponents:
+        terms[e] = rng.choice((1, -1, 2, 3, -4, Fraction(1, 2), Fraction(-3, 5), 0))
+    return TruncatedSeries(terms, truncation)
+
+
+def random_dividend(rng, divisor, truncation):
+    """Zero, an exact multiple of the divisor, or a random series whose
+    order may fall below the divisor's."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return TruncatedSeries({}, truncation)
+    if kind == 1 and not divisor.is_zero():
+        factor = TruncatedSeries({e: rng.choice((1, -2, Fraction(3, 7)))
+                                  for e in rng.sample(range(6), rng.randint(1, 3))}, truncation)
+        return TruncatedSeries((factor * divisor).coefficients, truncation)
+    low = rng.randint(0, min(6, truncation - 1))
+    return TruncatedSeries({e: rng.choice((1, -1, 5, Fraction(2, 9), 2 ** 61))
+                            for e in rng.sample(range(low, truncation),
+                                                min(truncation - low, rng.randint(1, 8)))},
+                           truncation)
+
+
+def division_outcome(divide, f, g):
+    try:
+        q = divide(f, g)
+    except (DomainError, TruncationError) as exc:
+        return type(exc), str(exc)
+    return q.numerators, q.denominator, q.truncation
+
+
+def test_division_matches_the_oracle_on_fuzzed_series():
+    rng = random.Random(18)
+    cases = []
+    for _ in range(3000):
+        truncation = rng.randint(1, 64)
+        g = random_divisor(rng, truncation)
+        cases.append((random_dividend(rng, g, truncation if rng.random() < 0.7
+                                      else rng.randint(1, 64)), g))
+    # a dense divisor costs the oracle and the division alike O(t^2) terms
+    # at large t, so these take three terms; t^v over one gives a dense
+    # quotient, and a multiple an exact one
+    for truncation, lead in ((1000, 3), (1000, 2 ** 60), (1500, 6), (2000, Fraction(2, 3)),
+                             (4000, -1), (4000, 1)):
+        v = rng.randint(0, 5)
+        g = TruncatedSeries({v: lead, v + rng.randint(1, 4): rng.choice((1, -1, 5)),
+                             v + rng.randint(5, 9): rng.choice((2, -3))}, truncation)
+        cases.append((TruncatedSeries({v: 1}, truncation), g))
+        cases.append((g * TruncatedSeries({0: 1, 3: Fraction(-2, 7)}, truncation), g))
+    quotients, errors, scaled = 0, set(), 0
+    for f, g in cases:
+        outcome = division_outcome(TruncatedSeries.__truediv__, f, g)
+        assert outcome == division_outcome(series_division_oracle, f, g), (f, g)
+        if len(outcome) == 3:
+            quotients += 1
+            scaled += g.numerators[g.order()] not in (1, -1) and len(outcome[0]) > 1
+        else:
+            errors.add(outcome[1].split(" (")[0])
+    # most divisions give a quotient, many by a lead other than +-1, and
+    # every error of the division is reached
+    assert quotients > 2000 and scaled > 1000 and len(errors) == 3, errors
+
+
 def test_valuation_golden_pairs():
     t = series("t^4")
     u = series("u^2", "u")
@@ -175,9 +262,9 @@ FUZZ_PIECES = list("0123456789") + ["t", "t", "t^", "t^", "u", "_", "/", "^", "*
                                      " ", "\t"]
 
 
-def parse_outcome(parse, text, truncation):
+def parse_outcome(parse, text, truncation, variable="t"):
     try:
-        series = parse(text, "t", truncation)
+        series = parse(text, variable, truncation)
     except (InputError, TruncationError) as exc:
         return type(exc), str(exc)
     return series.numerators, series.denominator, series.truncation
@@ -202,6 +289,21 @@ def test_parse_series_matches_the_oracle_on_fuzzed_strings():
                 messages.add(re.sub(r"\d+|'[^']*'", "", outcome[1]))
     # the corpus parses and reaches every message of the parser
     assert parsed > 10000 and len(messages) == 11, messages
+
+
+def test_parse_series_cuts_long_tokens_as_the_oracle_does():
+    # messages quote at most 40 characters of a token, exponent or variable
+    name = "x" * 41
+    for text, variable in (("t^4 " + "9" * 41, "t"), ("1/" + "0" * 50, "t"), ("t^" + "9" * 45, "t"),
+                           (name + "^2", "t"), ("3*" + name, "t"), ("t " + name, "t"),
+                           ("2*" + "9" * 41, "t"), ("t^2 " + "7/" + "8" * 60, "t"),
+                           ("t^2+" + "v" * 44, "v" * 45)):
+        outcome = parse_outcome(parse_series, text, 64, variable)
+        assert outcome[0] is InputError and "..." in outcome[1] and len(outcome[1]) < 150, text
+        assert parse_outcome(parse_series_oracle, text, 64, variable) == outcome
+    # a token of 40 characters is quoted whole
+    assert str(pytest.raises(InputError, parse_series, "t^4 " + "9" * 40, "t", 64).value) == (
+        "expected '+' or '-' between terms, got %r (at position 5)" % ("9" * 40,))
 
 
 def test_parse_series_keeps_ints_and_reads_fractions():
