@@ -9,12 +9,14 @@ constant terms.  All invariants are derived from values: the value of a
 nonzerodivisor is its componentwise order.  Values inside the box
 [0, bound] see no term of degree above bound_j, so `value_set` works in the
 image W of A in prod_j k[t_j]/(t_j^(bound_j + 1)), on generators cut to
-bound + 1.  The first pass builds an echelon basis of W, of dimension at
-most sum_j (bound_j + 1), one generator at a time: each generator
-multiplies the span built so far until it adds no row.  The second reads
-the values off its pivots by Delgado's dimension criterion (Campillo,
-Delgado and Kiyek 1994).  Values created by cancellation, for example
-v((t^6+t^7)^2 - (t^4)^3) = 13, are pivots like any other.
+bound + 1, where every element is exact: a row is one primitive flat dict
+of ints over all branches (see `_span`).  The first pass builds an echelon
+basis of W, of dimension at most sum_j (bound_j + 1), one generator at a
+time: each generator multiplies the span built so far until it adds no
+row.  The second reads the values off its pivots by Delgado's dimension
+criterion (Campillo, Delgado and Kiyek 1994).  Values created by
+cancellation, for example v((t^6+t^7)^2 - (t^4)^3) = 13, are pivots like
+any other.
 
 Blowing up divides the maximal ideal by an element of minimal value, and
 iterated blowups assemble the multiplicity tree: at each level every still
@@ -30,12 +32,12 @@ Every computation is exact below the truncation order and fails loudly
 """
 
 from bisect import bisect_left
-from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (DomainError, InputError, TruncationError, ValidationError,
                      literal_int, literal_list)
 from .mult_tree import MultiplicityTree, canonical_form, tree_to_semigroup
-from .series import SeriesTuple, TruncatedSeries, parse_series
+from .series import SeriesTuple, parse_series
 
 DEFAULT_TRUNCATION = 64
 # the same limit as the conductors: larger orders are refused up front
@@ -120,34 +122,6 @@ def _capped_key(element, bound):
     return tuple(key)
 
 
-def _cut(element, bound):
-    """The element truncated to min(truncation_j, bound_j + 1) on each branch.
-
-    Orders are never negative, so a term of degree <= bound_j of a product
-    or of a linear step f + c*g depends only on operand terms of degree
-    <= bound_j: cutting is a ring map onto prod_j k[t_j]/(t_j^(bound_j + 1)),
-    and cut generators decide every value in the box that the
-    full-precision ones decide.
-    """
-    cut = []
-    for component, b in zip(element.components, bound):
-        truncation = min(component.truncation, b + 1)
-        cut.append(TruncatedSeries._of(
-            {e: n for e, n in component.numerators.items() if e < truncation},
-            component.denominator, truncation))
-    return SeriesTuple(cut)
-
-
-def _eliminate(f, g, j, e):
-    """f minus the multiple of g that cancels their common leading t^e on branch j.
-
-    The multiplier is an int when the quotient is exact, as it is for a
-    lead of +-1 over denominator 1, and a Fraction otherwise."""
-    a, b = f.components[j], g.components[j]
-    p, q = -a.numerators[e] * b.denominator, a.denominator * b.numerators[e]
-    return f.plus_multiple(g, p // q if p % q == 0 else Fraction(p, q))
-
-
 def _min_sum(f, g, bound):
     """f + lambda*g for the first lambda in 1..d+1 whose capped key is the
     componentwise minimum of the keys of f and g; at most one lambda cancels
@@ -157,99 +131,114 @@ def _min_sum(f, g, bound):
                 if _capped_key(s, bound) == target)
 
 
-def _lead(element):
-    """(branch, order) of the first nonzero component, or None for zero."""
-    for j, component in enumerate(element.components):
-        if component.numerators:
-            return j, min(component.numerators)
-    return None
+def _offsets(bound):
+    """The position of t_j^0 in a flat row: offset_j = sum_(i<j) (bound_i + 1)."""
+    return [sum(bound[:j]) + j for j in range(len(bound))]
 
 
-def _reduce(element, echelon):
-    """(lead, remainder) of the element reduced against an echelon {lead: row}
-    until its lead is no pivot; the lead is None when it reduced to zero."""
-    while True:
-        lead = _lead(element)
-        row = echelon.get(lead)
-        if row is None:
-            return lead, element
-        element = _eliminate(element, row, *lead)
+def _row(element, bound, offsets):
+    """The element cut at bound + 1 and scaled by the lcm of its
+    denominators, as a flat integer row."""
+    scale = lcm(*(c.denominator for c in element.components))
+    return {o + e: scale // c.denominator * n
+            for c, b, o in zip(element.components, bound, offsets)
+            for e, n in c.numerators.items() if e <= b}
 
 
-def _tail(element):
-    """The element without its first branch."""
-    return SeriesTuple(element.components[1:])
+def _multiplier(g, bound, offsets):
+    """Per position p, the terms (order, n) of the row g on the branch of p
+    in ascending order, and the position past that branch."""
+    terms = sorted(g.items())
+    factor = []
+    for o, b in zip(offsets, bound):
+        factor += [([(p - o, n) for p, n in terms if o <= p <= o + b], o + b + 1)] * (b + 1)
+    return factor
 
 
-def _factor(g, bound):
-    """What multiplying by g and cutting at bound + 1 reads of g, per branch j:
-    its terms in ascending order, its truncation, order bound and
-    denominator, and bound_j + 1.  `_span` builds it once per generator."""
-    return [(sorted(c.numerators.items()), c.truncation, c.order_lower_bound(), c.denominator,
-             top + 1) for c, top in zip(g.components, bound)]
+def _product(row, factor):
+    """The row times g, cut at bound + 1, for factor = _multiplier(g, ...):
+    the inner loop stops at the first pair of terms past the bound."""
+    terms = {}
+    for p1, n1 in row.items():
+        inner, end = factor[p1]
+        limit = end - p1
+        for e2, n2 in inner:
+            if e2 >= limit:
+                break
+            p = p1 + e2
+            terms[p] = terms.get(p, 0) + n1 * n2
+    if not all(terms.values()):
+        terms = {p: n for p, n in terms.items() if n}
+    return terms
 
 
-def _cut_product(f, factor):
-    """_cut(f * g, bound) for factor = _factor(g, bound), without forming
-    the terms that the cut drops.
+def _eliminate(row, pivot, lead):
+    """b*row - a*pivot, where a and b are the coefficients of row and pivot
+    at their common lead, divided by their gcd, with b > 0: fraction-free,
+    and zero at the lead."""
+    a, b = row[lead], pivot[lead]
+    common = gcd(a, b) if b > 0 else -gcd(a, b)
+    a, b = a // common, b // common
+    row = row.copy() if b == 1 else {p: b * n for p, n in row.items()}
+    for p, n in pivot.items():
+        if total := row.get(p, 0) - a * n:
+            row[p] = total
+        else:
+            del row[p]
+    return row
 
-    On branch j only the pairs of terms with e1 + e2 <= bound_j are
-    multiplied: the terms of g are taken in ascending order, so the inner
-    loop stops at the first pair past the bound.  The truncation is that
-    of the product, cut to bound_j + 1.
-    """
-    cut = []
-    for a, (inner, truncation, order, denominator, top) in zip(f.components, factor):
-        numerators = a.numerators
-        truncation = min(a.truncation + order,
-                         truncation + (min(numerators) if numerators else a.truncation), top)
-        terms = {}
-        for e1, n1 in numerators.items():
-            limit = truncation - e1
-            for e2, n2 in inner:
-                if e2 >= limit:
-                    break
-                e = e1 + e2
-                terms[e] = terms.get(e, 0) + n1 * n2
-        if not all(terms.values()):
-            terms = {e: n for e, n in terms.items() if n}
-        cut.append(TruncatedSeries._of(terms, a.denominator * denominator, truncation))
-    product = SeriesTuple.__new__(SeriesTuple)
-    product.components = tuple(cut)
-    return product
+
+def _reduce(row, echelon):
+    """(lead, remainder) of the row reduced against an echelon {lead: row}
+    until its lead is no pivot, the remainder divided by its content; the
+    lead is None when it reduced to zero."""
+    while row:
+        lead = min(row)
+        if lead not in echelon:
+            content = gcd(*row.values())
+            return lead, {p: n // content for p, n in row.items()} if content > 1 else row
+        row = _eliminate(row, echelon[lead], lead)
+    return None, row
 
 
 def _span(algebra, bound):
     """Echelon basis {lead: row} of the image W of the algebra in
-    prod_j k[t_j]/(t_j^(bound_j + 1)), leads (branch, order) branch-major.
+    prod_j k[t_j]/(t_j^(bound_j + 1)), as primitive flat integer rows.
 
-    Cutting at bound+1 is that ring map (see `_cut`), so every cut element
-    is exact there.  The span is a Krylov closure, one generator at a
-    time: V_0 = k*1 and V_k = k[g_k]*V_(k-1).  In stage k every row of
-    V_(k-1) is multiplied by g_k once, and after that only the rows that
-    the previous pass added, each product reduced into the span.  That is
-    enough: if the span S_m after pass m adds the rows U_m to S_(m-1), and
-    g_k*S_(m-1) lies in S_m, then g_k*S_m lies in S_m + g_k*span(U_m),
-    which pass m + 1 spans.  The generators commute, so V_k is closed under
-    g_1, ..., g_k, and V_n = W; its dimension is at most sum_j (bound_j + 1).
+    A row is a dict {offset_j + e: n} for the terms n*t_j^e, e <= bound_j
+    (see `_offsets`), so its smallest key is its lead, branch-major.  Orders
+    are never negative, so cutting at bound + 1 is a ring map, and
+    `value_set` has checked that every generator is known past the bound:
+    each row is exact and needs no truncation or denominator.  A generator
+    is scaled by the lcm of its denominators, which keeps W, and elimination
+    is fraction-free (Bareiss 1968): the leads are divided by their gcd, and
+    each reduced row by its content.
+
+    The span is a Krylov closure, one generator at a time: V_0 = k*1 and
+    V_k = k[g_k]*V_(k-1).  In stage k every row of V_(k-1) is multiplied by
+    g_k once, and after that only the rows that the previous pass added,
+    each product reduced into the span.  That is enough: if the span S_m
+    after pass m adds the rows U_m to S_(m-1), and g_k*S_(m-1) lies in S_m,
+    then g_k*S_m lies in S_m + g_k*span(U_m), which pass m + 1 spans.  The
+    generators commute, so V_k is closed under g_1, ..., g_k, and V_n = W;
+    its dimension is at most sum_j (bound_j + 1).
 
     W is the same in any order, so the order only sets the cost.  The
-    generators are taken sparsest first, by total term count (a stable
+    generators are taken sparsest first, by term count in the box (a stable
     sort): the early rows and their products stay short.  On the plane
     pair (t^4, u^6), (t^6+t^7, u^9+u^10), (t^9, u^4) at bound (100, 100),
     an unsorted order costs up to 15 times as much as a sorted one.
     """
-    generators = sorted((_cut(g, bound) for g in algebra.generators),
-                        key=lambda g: sum(len(c.numerators) for c in g.components))
-    one = _cut(SeriesTuple.constant(1, algebra.d), bound)
-    echelon = {_lead(one): one}
+    offsets = _offsets(bound)
+    generators = sorted((_row(g, bound, offsets) for g in algebra.generators), key=len)
+    echelon = {0: {o: 1 for o in offsets}}
     for g in generators:
-        factor = _factor(g, bound)
+        factor = _multiplier(g, bound, offsets)
         added = list(echelon.values())
         while added:
             rows, added = added, []
             for row in rows:
-                lead, rest = _reduce(_cut_product(row, factor), echelon)
+                lead, rest = _reduce(_product(row, factor), echelon)
                 if lead is not None:
                     echelon[lead] = rest
                     added.append(rest)
@@ -257,19 +246,21 @@ def _span(algebra, bound):
 
 
 class _Slices:
-    """The span T of an echelon on some trailing branches, and its slices.
+    """The span T of an echelon on the trailing branches that start at the
+    positions `offsets`, and its slices.
 
     T_a, the elements of T of order >= a on the first branch, is spanned by
     the rows of first-branch lead >= a and the rows that vanish there,
     because the leads are distinct.  The projections pi(T_a) to the other
     branches are built on first use, for descending pivots a, each from
-    pi(T_(a+1)) and the row r_a reduced against it.
+    pi(T_(a+1)) and the row r_a reduced against it.  A row that vanishes on
+    the first branch is its own projection.
     """
 
-    __slots__ = ("branches", "echelon", "_pivots", "_slices", "_values")
+    __slots__ = ("offsets", "echelon", "_pivots", "_slices", "_values")
 
-    def __init__(self, branches, echelon):
-        self.branches = branches
+    def __init__(self, offsets, echelon):
+        self.offsets = offsets
         self.echelon = echelon
         self._pivots = None
         self._values = None
@@ -279,14 +270,16 @@ class _Slices:
         against pi(T_(a+1)) as (lead, remainder); last, pi of the rows that
         vanish on the first branch."""
         if self._pivots is None:
-            above = _Slices(self.branches - 1, {(j - 1, e): _tail(row)
-                                                for (j, e), row in self.echelon.items() if j})
-            self._pivots = sorted(e for j, e in self.echelon if j == 0)
+            cut = self.offsets[1]
+            above = _Slices(self.offsets[1:],
+                            {p: row for p, row in self.echelon.items() if p >= cut})
+            self._pivots = sorted(p for p in self.echelon if p < cut)
             self._slices = [(above, None, None)]
             for a in reversed(self._pivots):
-                lead, rest = _reduce(_tail(self.echelon[0, a]), above.echelon)
+                rest = {p: n for p, n in self.echelon[a].items() if p >= cut}
+                lead, rest = _reduce(rest, above.echelon)
                 if lead is not None:
-                    above = _Slices(above.branches, {**above.echelon, lead: rest})
+                    above = _Slices(above.offsets, {**above.echelon, lead: rest})
                 self._slices.append((above, lead, rest))
             self._slices.reverse()
         return self._pivots, self._slices
@@ -294,18 +287,19 @@ class _Slices:
     def sliced(self, a):
         """pi(T_a), for any natural number a."""
         pivots, slices = self._by_pivot()
-        return slices[bisect_left(pivots, a)][0]
+        return slices[bisect_left(pivots, self.offsets[0] + a)][0]
 
     def values(self):
         """The alpha at which no coefficient t_j^(alpha_j) vanishes on T(alpha)."""
         if self._values is None:
-            if self.branches == 1:
-                self._values = {(e,) for _, e in self.echelon}
+            offset = self.offsets[0]
+            if len(self.offsets) == 1:
+                self._values = {(p - offset,) for p in self.echelon}
             else:
                 pivots, slices = self._by_pivot()
                 self._values = set()
                 for a, (below, lead, rest), (above, _, _) in zip(pivots, slices, slices[1:]):
-                    self._values.update((a,) + beta for beta in
+                    self._values.update((a - offset,) + beta for beta in
                                         _reaching(lead, rest, above, below.values()))
         return self._values
 
@@ -323,18 +317,19 @@ def _reaching(lead, rest, space, candidates):
     """
     if lead is None:
         return candidates
-    j, e = lead
-    if j == 0:
+    e = lead - space.offsets[0]
+    if len(space.offsets) == 1:
+        return [beta for beta in candidates if beta[0] <= e]
+    cut = space.offsets[1]
+    if lead < cut:
         candidates = [beta for beta in candidates if beta[0] <= e]
-    if space.branches == 1:
-        return candidates
     by_first = {}
     for beta in candidates:
         by_first.setdefault(beta[0], []).append(beta[1:])
-    reached = []
+    reached, rest = [], {p: n for p, n in rest.items() if p >= cut}
     for first, tails in by_first.items():
         sliced = space.sliced(first)
-        sublead, subrest = _reduce(_tail(rest), sliced.echelon)
+        sublead, subrest = _reduce(rest, sliced.echelon)
         reached.extend((first,) + beta for beta in _reaching(sublead, subrest, sliced, tails))
     return reached
 
@@ -409,7 +404,7 @@ def value_set(algebra, bound):
     of pi(W_a) with c <= n_a, where n_a is the order of pi(r_a) reduced
     against the pivots of pi(W_(a+1)), and every pivot when it reduces to
     zero.  No step scans or allocates the box: the work follows dim W and
-    the values of the slices.
+    the values of the slices.  Every row is a flat integer row (see `_span`).
     """
     if isinstance(bound, int):
         bound = (bound,)
@@ -426,7 +421,7 @@ def value_set(algebra, bound):
                     "rerun with truncation order at least %d"
                     % (g.components[j].truncation, bound[j], j + 1, bound[j] + 1)
                 )
-    return _Slices(algebra.d, _span(algebra, bound)).values()
+    return _Slices(_offsets(bound), _span(algebra, bound)).values()
 
 
 def blowup(algebra):

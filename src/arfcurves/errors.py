@@ -29,22 +29,26 @@ class InputError(ValueError):
 LITERAL_ECHO = 40
 
 
-def echo(text):
-    """repr of the first LITERAL_ECHO characters of text, marked when cut."""
-    return repr(text[:LITERAL_ECHO]) + ("..." if len(text) > LITERAL_ECHO else "")
+def echo(value):
+    """repr of the first LITERAL_ECHO characters of a string, marked when cut;
+    any other value by its repr, cut the same way."""
+    if isinstance(value, str):
+        return repr(value[:LITERAL_ECHO]) + ("..." if len(value) > LITERAL_ECHO else "")
+    text = repr(value)
+    return text if len(text) <= LITERAL_ECHO else text[:LITERAL_ECHO] + "..."
 
 
 def literal_int(value, what):
     """An integer field of a literal; anything else is malformed input."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InputError("%s must be an integer, got %r" % (what, value))
+        raise InputError("%s must be an integer, got %s" % (what, echo(value)))
     return int(value)
 
 
 def literal_list(value, what):
     """A list field of a literal; anything else is malformed input."""
     if not isinstance(value, (list, tuple)):
-        raise InputError("%s must be a list, got %r" % (what, value))
+        raise InputError("%s must be a list, got %s" % (what, echo(value)))
     return list(value)
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -288,13 +289,251 @@ def good_axioms_oracle(d, conductor, small):
     return None
 
 
+# The value-set pass on SeriesTuple rows that the flat integer rows of
+# `branch_ring` replaced, word for word, as the oracle of `_span` and
+# `value_set`: every row is a tuple of exact truncated series, each with
+# its own denominator.  `saturation_basis` and `queue_span_oracle` cut and
+# reduce with it too.
+
+def _cut(element, bound):
+    """The element truncated to min(truncation_j, bound_j + 1) on each branch.
+
+    Orders are never negative, so a term of degree <= bound_j of a product
+    or of a linear step f + c*g depends only on operand terms of degree
+    <= bound_j: cutting is a ring map onto prod_j k[t_j]/(t_j^(bound_j + 1)),
+    and cut generators decide every value in the box that the
+    full-precision ones decide.
+    """
+    cut = []
+    for component, b in zip(element.components, bound):
+        truncation = min(component.truncation, b + 1)
+        cut.append(TruncatedSeries._of(
+            {e: n for e, n in component.numerators.items() if e < truncation},
+            component.denominator, truncation))
+    return SeriesTuple(cut)
+
+
+def _eliminate(f, g, j, e):
+    """f minus the multiple of g that cancels their common leading t^e on branch j.
+
+    The multiplier is an int when the quotient is exact, as it is for a
+    lead of +-1 over denominator 1, and a Fraction otherwise."""
+    a, b = f.components[j], g.components[j]
+    p, q = -a.numerators[e] * b.denominator, a.denominator * b.numerators[e]
+    return f.plus_multiple(g, p // q if p % q == 0 else Fraction(p, q))
+
+
+def _lead(element):
+    """(branch, order) of the first nonzero component, or None for zero."""
+    for j, component in enumerate(element.components):
+        if component.numerators:
+            return j, min(component.numerators)
+    return None
+
+
+def _reduce(element, echelon):
+    """(lead, remainder) of the element reduced against an echelon {lead: row}
+    until its lead is no pivot; the lead is None when it reduced to zero."""
+    while True:
+        lead = _lead(element)
+        row = echelon.get(lead)
+        if row is None:
+            return lead, element
+        element = _eliminate(element, row, *lead)
+
+
+def _tail(element):
+    """The element without its first branch."""
+    return SeriesTuple(element.components[1:])
+
+
+def _factor(g, bound):
+    """What multiplying by g and cutting at bound + 1 reads of g, per branch j:
+    its terms in ascending order, its truncation, order bound and
+    denominator, and bound_j + 1.  `_span` builds it once per generator."""
+    return [(sorted(c.numerators.items()), c.truncation, c.order_lower_bound(), c.denominator,
+             top + 1) for c, top in zip(g.components, bound)]
+
+
+def _cut_product(f, factor):
+    """_cut(f * g, bound) for factor = _factor(g, bound), without forming
+    the terms that the cut drops.
+
+    On branch j only the pairs of terms with e1 + e2 <= bound_j are
+    multiplied: the terms of g are taken in ascending order, so the inner
+    loop stops at the first pair past the bound.  The truncation is that
+    of the product, cut to bound_j + 1.
+    """
+    cut = []
+    for a, (inner, truncation, order, denominator, top) in zip(f.components, factor):
+        numerators = a.numerators
+        truncation = min(a.truncation + order,
+                         truncation + (min(numerators) if numerators else a.truncation), top)
+        terms = {}
+        for e1, n1 in numerators.items():
+            limit = truncation - e1
+            for e2, n2 in inner:
+                if e2 >= limit:
+                    break
+                e = e1 + e2
+                terms[e] = terms.get(e, 0) + n1 * n2
+        if not all(terms.values()):
+            terms = {e: n for e, n in terms.items() if n}
+        cut.append(TruncatedSeries._of(terms, a.denominator * denominator, truncation))
+    product = SeriesTuple.__new__(SeriesTuple)
+    product.components = tuple(cut)
+    return product
+
+
+def series_span_oracle(algebra, bound):
+    """Echelon basis {lead: row} of the image W of the algebra in
+    prod_j k[t_j]/(t_j^(bound_j + 1)), leads (branch, order) branch-major.
+
+    Cutting at bound+1 is that ring map (see `_cut`), so every cut element
+    is exact there.  The span is a Krylov closure, one generator at a
+    time: V_0 = k*1 and V_k = k[g_k]*V_(k-1).  In stage k every row of
+    V_(k-1) is multiplied by g_k once, and after that only the rows that
+    the previous pass added, each product reduced into the span.  That is
+    enough: if the span S_m after pass m adds the rows U_m to S_(m-1), and
+    g_k*S_(m-1) lies in S_m, then g_k*S_m lies in S_m + g_k*span(U_m),
+    which pass m + 1 spans.  The generators commute, so V_k is closed under
+    g_1, ..., g_k, and V_n = W; its dimension is at most sum_j (bound_j + 1).
+
+    W is the same in any order, so the order only sets the cost.  The
+    generators are taken sparsest first, by total term count (a stable
+    sort): the early rows and their products stay short.  On the plane
+    pair (t^4, u^6), (t^6+t^7, u^9+u^10), (t^9, u^4) at bound (100, 100),
+    an unsorted order costs up to 15 times as much as a sorted one.
+    """
+    generators = sorted((_cut(g, bound) for g in algebra.generators),
+                        key=lambda g: sum(len(c.numerators) for c in g.components))
+    one = _cut(SeriesTuple.constant(1, algebra.d), bound)
+    echelon = {_lead(one): one}
+    for g in generators:
+        factor = _factor(g, bound)
+        added = list(echelon.values())
+        while added:
+            rows, added = added, []
+            for row in rows:
+                lead, rest = _reduce(_cut_product(row, factor), echelon)
+                if lead is not None:
+                    echelon[lead] = rest
+                    added.append(rest)
+    return echelon
+
+
+class _Slices:
+    """The span T of an echelon on some trailing branches, and its slices.
+
+    T_a, the elements of T of order >= a on the first branch, is spanned by
+    the rows of first-branch lead >= a and the rows that vanish there,
+    because the leads are distinct.  The projections pi(T_a) to the other
+    branches are built on first use, for descending pivots a, each from
+    pi(T_(a+1)) and the row r_a reduced against it.
+    """
+
+    __slots__ = ("branches", "echelon", "_pivots", "_slices", "_values")
+
+    def __init__(self, branches, echelon):
+        self.branches = branches
+        self.echelon = echelon
+        self._pivots = None
+        self._values = None
+
+    def _by_pivot(self):
+        """Ascending pivots a, and per pivot pi(T_a) with pi(r_a) reduced
+        against pi(T_(a+1)) as (lead, remainder); last, pi of the rows that
+        vanish on the first branch."""
+        if self._pivots is None:
+            above = _Slices(self.branches - 1, {(j - 1, e): _tail(row)
+                                                for (j, e), row in self.echelon.items() if j})
+            self._pivots = sorted(e for j, e in self.echelon if j == 0)
+            self._slices = [(above, None, None)]
+            for a in reversed(self._pivots):
+                lead, rest = _reduce(_tail(self.echelon[0, a]), above.echelon)
+                if lead is not None:
+                    above = _Slices(above.branches, {**above.echelon, lead: rest})
+                self._slices.append((above, lead, rest))
+            self._slices.reverse()
+        return self._pivots, self._slices
+
+    def sliced(self, a):
+        """pi(T_a), for any natural number a."""
+        pivots, slices = self._by_pivot()
+        return slices[bisect_left(pivots, a)][0]
+
+    def values(self):
+        """The alpha at which no coefficient t_j^(alpha_j) vanishes on T(alpha)."""
+        if self._values is None:
+            if self.branches == 1:
+                self._values = {(e,) for _, e in self.echelon}
+            else:
+                pivots, slices = self._by_pivot()
+                self._values = set()
+                for a, (below, lead, rest), (above, _, _) in zip(pivots, slices, slices[1:]):
+                    self._values.update((a,) + beta for beta in
+                                        _reaching(lead, rest, above, below.values()))
+        return self._values
+
+
+def _reaching(lead, rest, space, candidates):
+    """The beta among `candidates` with r in space + M_beta, where M_beta
+    holds the elements of order >= beta_j on every branch j; `rest` is r
+    reduced against the echelon of the space, and `lead` its lead.
+
+    When the lead lies on the first branch at order e, no element of the
+    space has order e there, so beta_0 <= e is needed.  Then r lies in
+    space + M_beta exactly when pi(rest) lies in pi(space_(beta_0)) +
+    M_(beta without beta_0): the rows used after the first-branch order
+    reached beta_0 lie in space_(beta_0).
+    """
+    if lead is None:
+        return candidates
+    j, e = lead
+    if j == 0:
+        candidates = [beta for beta in candidates if beta[0] <= e]
+    if space.branches == 1:
+        return candidates
+    by_first = {}
+    for beta in candidates:
+        by_first.setdefault(beta[0], []).append(beta[1:])
+    reached = []
+    for first, tails in by_first.items():
+        sliced = space.sliced(first)
+        sublead, subrest = _reduce(_tail(rest), sliced.echelon)
+        reached.extend((first,) + beta for beta in _reaching(sublead, subrest, sliced, tails))
+    return reached
+
+
+def series_value_set_oracle(algebra, bound):
+    """`branch_ring.value_set` on SeriesTuple rows: the same truncation
+    checks, then the pivots of `series_span_oracle` read by `_Slices`."""
+    if isinstance(bound, int):
+        bound = (bound,)
+    bound = tuple(int(b) for b in bound)
+    if len(bound) != algebra.d:
+        raise DomainError("bound has dimension %d, expected %d" % (len(bound), algebra.d))
+    if any(b < 0 for b in bound):
+        raise DomainError("bound coordinates must be natural numbers: %r" % (list(bound),))
+    for j in range(algebra.d):
+        for g in algebra.generators:
+            if g.components[j].truncation <= bound[j]:
+                raise TruncationError(
+                    "truncation order %d cannot decide values up to %d on branch %d; "
+                    "rerun with truncation order at least %d"
+                    % (g.components[j].truncation, bound[j], j + 1, bound[j] + 1)
+                )
+    return _Slices(algebra.d, series_span_oracle(algebra, bound)).values()
+
+
 def saturation_basis(algebra, bound):
     """Value-indexed basis of the algebra, complete within [0, bound].
 
     Keys are componentwise orders capped at bound+1, the sentinel for an
     order beyond the box or a zero component.  As an oracle for
-    `value_set`, this closure over keys counts no dimensions and shares
-    only `_cut` and `_eliminate` with it.
+    `value_set`, this closure over keys counts no dimensions and shares no
+    code with it: it cuts and eliminates on SeriesTuples, with the `_cut`
+    and `_eliminate` of `series_span_oracle`.
 
     The generators are first cut to bound+1 (see `_cut`), so the cost does
     not grow with the truncation order; the basis elements only serve
@@ -332,9 +571,9 @@ def saturation_basis(algebra, bound):
             j = next(i for i in range(d) if key[i] <= bound[i])
             # a vanished element has key big when its truncation decides
             # the box, and raises otherwise
-            element = branch_ring._eliminate(element, existing, j, key[j])
+            element = _eliminate(element, existing, j, key[j])
 
-    generators = [branch_ring._cut(g, bound) for g in algebra.generators]
+    generators = [_cut(g, bound) for g in algebra.generators]
     insert(SeriesTuple.constant(1, d))
     for g in generators:
         insert(g)
@@ -360,7 +599,7 @@ def saturation_basis(algebra, bound):
                     grew |= insert(branch_ring._min_sum(f1, f2, bound))
                 for j in range(d):
                     if k1[j] == k2[j] and k1[j] <= bound[j]:
-                        grew |= insert(branch_ring._eliminate(f1, f2, j, k1[j]))
+                        grew |= insert(_eliminate(f1, f2, j, k1[j]))
 
     return basis
 
@@ -428,18 +667,19 @@ def queue_span_oracle(algebra, bound):
     Each new row queues its product with every cut generator, and each
     queued element is reduced into the span, so the span holds 1 and is
     closed under multiplication by the generators: it is W.  As an oracle
-    for `branch_ring._span`, which takes one generator at a time, it shares
-    only `_cut` and `_reduce` with it; the lead set of an echelon basis of
-    W depends on W alone, so the two must agree on it.
+    for `series_span_oracle` and `branch_ring._span`, which take one
+    generator at a time, it shares only the SeriesTuple `_cut` and
+    `_reduce` with the first and nothing with the second; the lead set of
+    an echelon basis of W depends on W alone, so all three must agree on it.
     """
-    generators = [branch_ring._cut(g, bound) for g in algebra.generators]
+    generators = [_cut(g, bound) for g in algebra.generators]
     echelon = {}
-    queue = [branch_ring._cut(SeriesTuple.constant(1, algebra.d), bound)]
+    queue = [_cut(SeriesTuple.constant(1, algebra.d), bound)]
     while queue:
-        lead, row = branch_ring._reduce(queue.pop(), echelon)
+        lead, row = _reduce(queue.pop(), echelon)
         if lead is not None:
             echelon[lead] = row
-            queue.extend(branch_ring._cut(row * g, bound) for g in generators)
+            queue.extend(_cut(row * g, bound) for g in generators)
     return echelon
 
 

@@ -23,9 +23,11 @@ from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_c
                                  semigroup_to_seq)
 from arfcurves.series import SeriesTuple, TruncatedSeries, parse_series
 
+import helpers
 from helpers import (blowup_oracle, pairwise_partition_oracle, queue_span_oracle,
                      saturation_basis, saturation_partition_oracle,
-                     saturation_value_set_oracle, value_set_oracle)
+                     saturation_value_set_oracle, series_span_oracle,
+                     series_value_set_oracle, value_set_oracle)
 
 
 def curve(*generators, **kwargs):
@@ -286,9 +288,9 @@ def saturation_outcome(algebra, bound, full):
     """Keys of the saturation oracle in insertion order, or the
     TruncationError message; with `full` the generators are saturated
     uncut, as the precision reference."""
-    cut = (lambda element, bound: element) if full else branch_ring._cut
+    cut = (lambda element, bound: element) if full else helpers._cut
     try:
-        with mock.patch.object(branch_ring, "_cut", cut):
+        with mock.patch.object(helpers, "_cut", cut):
             return list(saturation_basis(algebra, bound))
     except TruncationError as exc:
         return str(exc)
@@ -467,15 +469,48 @@ def test_value_set_matches_saturation_oracle_on_blowups():
     assert nonlocal_boxes >= 10
 
 
+def offsets_of(bound):
+    """The position of t_j^0 in a flat row of `_span`, per branch j."""
+    return [sum(b + 1 for b in bound[:j]) for j in range(len(bound))]
+
+
+def flat_of(element, bound):
+    """A SeriesTuple cut at bound + 1, as {position: Fraction}."""
+    return {o + e: Fraction(n, c.denominator)
+            for c, b, o in zip(element.components, bound, offsets_of(bound))
+            for e, n in c.numerators.items() if e <= b}
+
+
+def series_of(row, bound):
+    """A flat row as a SeriesTuple known to bound + 1 on every branch."""
+    return SeriesTuple([TruncatedSeries({p - o: n for p, n in row.items() if o <= p <= o + b},
+                                        b + 1) for o, b in zip(offsets_of(bound), bound)])
+
+
+def is_multiple(row, expected):
+    """True when row = c*expected for one nonzero rational c."""
+    return set(row) == set(expected) and len(
+        {Fraction(n) / expected[p] for p, n in row.items()}) <= 1
+
+
 def assert_span_matches_queue(algebra, bound):
-    """_span is an echelon basis of the queue oracle's space: the same leads,
-    and every row reduces to zero against the oracle's rows."""
+    """_span and the series oracle are echelon bases of the queue oracle's
+    space: the same leads, as positions and as (branch, order), and every
+    row reduces to zero against the queue's rows.  The rows of _span are
+    primitive integer rows keyed by their lead.  Returns both spans."""
     span = branch_ring._span(algebra, bound)
+    series = series_span_oracle(algebra, bound)
     oracle = queue_span_oracle(algebra, bound)
-    assert all(branch_ring._lead(row) == lead for lead, row in span.items())
-    assert set(span) == set(oracle)
-    assert all(branch_ring._reduce(row, oracle)[0] is None for row in span.values())
-    return span
+    assert all(helpers._lead(row) == lead for lead, row in series.items())
+    assert set(series) == set(oracle)
+    assert all(helpers._reduce(row, oracle)[0] is None for row in series.values())
+    offsets = offsets_of(bound)
+    assert set(span) == {offsets[j] + e for j, e in oracle}
+    for lead, row in span.items():
+        assert min(row) == lead and gcd(*row.values()) == 1
+        assert all(type(n) is int for n in row.values())
+        assert helpers._reduce(series_of(row, bound), oracle)[0] is None
+    return span, series
 
 
 def test_span_matches_queue_oracle():
@@ -490,7 +525,7 @@ def test_span_matches_queue_oracle():
         shuffled = LocalAlgebra(generators, truncation_order=algebra.truncation_order)
         bound = tuple(rng.randint(0, min(12, algebra.truncation_order - 1))
                       for _ in range(algebra.d))
-        rows += len(assert_span_matches_queue(shuffled, bound))
+        rows += len(assert_span_matches_queue(shuffled, bound)[0])
     assert rows > 3000
 
 
@@ -521,8 +556,8 @@ def test_span_matches_queue_oracle_with_fraction_leads():
         algebra = fraction_curve(rng)
         bound = tuple(rng.randint(0, min(10, algebra.truncation_order - 1))
                       for _ in range(algebra.d))
-        span = assert_span_matches_queue(algebra, bound)
-        fractional += any(c.denominator > 1 for row in span.values() for c in row.components)
+        _, series = assert_span_matches_queue(algebra, bound)
+        fractional += any(c.denominator > 1 for row in series.values() for c in row.components)
     assert fractional > 75
 
 
@@ -595,7 +630,7 @@ def test_eliminate_matches_the_fraction_multiplier():
             a, b = f.components[j], g.components[j]
             for e in set(a.numerators) & set(b.numerators):
                 multiplier = -a.coefficients[e] / b.coefficients[e]
-                assert branch_ring._eliminate(f, g, j, e) == f.plus_multiple(g, multiplier)
+                assert helpers._eliminate(f, g, j, e) == f.plus_multiple(g, multiplier)
                 checked += 1
     assert checked > 100
 
@@ -650,9 +685,103 @@ def test_cut_product_is_the_cut_of_the_product():
         f, g = random_operand(rng, d), random_operand(rng, d)
         bound = tuple(rng.randint(0, 12) for _ in range(d))
         if rng.random() < 0.5:
-            f, g = branch_ring._cut(f, bound), branch_ring._cut(g, bound)
-        factor = branch_ring._factor(g, bound)
-        assert branch_ring._cut_product(f, factor) == branch_ring._cut(f * g, bound)
+            f, g = helpers._cut(f, bound), helpers._cut(g, bound)
+        factor = helpers._factor(g, bound)
+        assert helpers._cut_product(f, factor) == helpers._cut(f * g, bound)
+
+
+def test_flat_product_is_the_cut_of_the_product():
+    # rows are exact in the box, so the operands are known past the bound
+    rng = random.Random(19)
+    nonzero = 0
+    for _ in range(1000):
+        d = rng.randint(1, 3)
+        f, g = random_operand(rng, d), random_operand(rng, d)
+        bound = tuple(rng.randint(0, min(12, a.truncation - 1, b.truncation - 1))
+                      for a, b in zip(f.components, g.components))
+        offsets = offsets_of(bound)
+        factor = branch_ring._multiplier(branch_ring._row(g, bound, offsets), bound, offsets)
+        product = branch_ring._product(branch_ring._row(f, bound, offsets), factor)
+        assert is_multiple(product, flat_of(helpers._cut(f * g, bound), bound))
+        nonzero += bool(product)
+    assert nonzero > 300
+
+
+def test_flat_eliminate_is_a_positive_multiple_of_the_fraction_step():
+    rng = random.Random(20)
+    for _ in range(2000):
+        f = {p: rng.choice([-1, 1]) * rng.randint(1, 12) for p in rng.sample(range(12), 5)}
+        g = {p: rng.choice([-1, 1]) * rng.randint(1, 12) for p in rng.sample(range(12), 5)}
+        lead = rng.choice(sorted(set(f) & set(g)) or [None])
+        if lead is None:
+            continue
+        step = {p: f.get(p, 0) - Fraction(f[lead], g[lead]) * g.get(p, 0) for p in set(f) | set(g)}
+        step = {p: c for p, c in step.items() if c}
+        row = branch_ring._eliminate(f, g, lead)
+        assert lead not in row and all(type(n) is int for n in row.values())
+        assert is_multiple(row, step)
+        # b*f - a*g with b > 0 and the leads divided by their gcd
+        b = abs(g[lead]) // gcd(f[lead], g[lead])
+        assert all(row[p] == b * step[p] for p in row)
+
+
+def rational_curve(rng, d):
+    """d branches at truncation 10-24; each component is 0 or 1-3 terms of
+    degree 1-7 whose coefficients include p/q and leads other than +-1."""
+    names = ["t", "u", "v", "w", "x"][:d]
+
+    def component(s):
+        if rng.random() <= 0.15:
+            return "0"
+        exponents = sorted(rng.sample(range(1, 8), rng.randint(1, 3)))
+        return "".join("%s%s*%s^%d" % (rng.choice("+-"),
+                                       rng.choice(["1", "2", "3", "3/2", "5/3", "7/4", "1/6"]),
+                                       s, e) for e in exponents).lstrip("+")
+
+    while True:
+        generators = [[component(s) for s in names] for _ in range(rng.randint(2, 3))]
+        try:
+            return curve(*generators, variables=names, truncation=rng.randint(10, 24))
+        except ValidationError:
+            continue
+
+
+def assert_rows_are_the_series_rows(algebra, bound):
+    """_span has the series oracle's leads, position offset_j + e for
+    (branch j, order e), and each of its rows is a nonzero rational multiple
+    of the oracle's row; value_set is the series oracle's.  Returns the
+    oracle's rows and the values."""
+    span = branch_ring._span(algebra, bound)
+    series = series_span_oracle(algebra, bound)
+    offsets = offsets_of(bound)
+    assert set(span) == {offsets[j] + e for j, e in series}
+    for (j, e), row in series.items():
+        assert is_multiple(span[offsets[j] + e], flat_of(row, bound))
+    values = value_set(algebra, bound)
+    assert values == series_value_set_oracle(algebra, bound)
+    return series, values
+
+
+def test_span_rows_are_the_series_rows_up_to_a_scalar():
+    for algebra, bound in GOLDEN_BOXES + ((THREE, (12, 12, 12)),):
+        assert_rows_are_the_series_rows(algebra, bound)
+    # d = 5 reaches past the saturation oracle, which stops at d = 4
+    rng = random.Random(21)
+    rows, fractional, other_leads, nontrivial = 0, 0, 0, Counter()
+    for d in range(1, 6):
+        for _ in range(60):
+            algebra = rational_curve(rng, d)
+            bound = tuple(rng.randint(2, min(10, algebra.truncation_order - 1))
+                          for _ in range(d))
+            series, values = assert_rows_are_the_series_rows(algebra, bound)
+            rows += len(series)
+            nontrivial[d] += len(values) > 2
+            components = [c for row in series.values() for c in row.components if c.numerators]
+            fractional += any(c.denominator > 1 for c in components)
+            other_leads += any(abs(c.numerators[min(c.numerators)]) != c.denominator
+                               for c in components)
+    assert rows > 3000 and fractional > 200 and other_leads > 200
+    assert min(nontrivial[d] for d in range(1, 6)) >= 40, nontrivial
 
 
 def test_one_lambda_per_minimum():
@@ -660,7 +789,7 @@ def test_one_lambda_per_minimum():
     f, g = tuples("t^2", "u^3"), tuples("-t^2+t^3", "u^2")
     assert branch_ring._min_sum(f, g, (4, 4)) == f.plus_multiple(g, 2)
     assert branch_ring._capped_key(f + g, (4, 4)) == (3, 2)
-    assert branch_ring._eliminate(f, g, 0, 2) == f + g
+    assert helpers._eliminate(f, g, 0, 2) == f + g
 
 
 # branch 1 is known only below order 3, and 3 is its smallest order

@@ -457,6 +457,33 @@ def test_long_series_tokens_give_a_short_error(capsys, tmp_path):
         assert "Traceback" not in captured.err
 
 
+def test_long_literal_fields_give_a_short_error(capsys):
+    # a field of the wrong type is quoted by its first 40 characters; a
+    # short one is quoted whole, as before
+    for literal, message in (
+            ({"d": "7" * 3000, "generators": [["t^4"]]},
+             "d must be an integer, got %r..." % ("7" * 40,)),
+            ({"d": 1, "conductor": [4], "small_elements": "[0]" * 1000},
+             "small_elements must be a list, got %r..." % ("[0]" * 13 + "[",)),
+            ({"d": [1] * 1000, "generators": [["t^4"]]},
+             "d must be an integer, got %s..." % (repr([1] * 1000)[:40],)),
+            ({"d": "7", "generators": [["t^4"]]}, "d must be an integer, got '7'\n"),
+            ({"d": 1, "conductor": [4], "small_elements": {"a": 1}},
+             "small_elements must be a list, got {'a': 1}\n")):
+        command = "check" if "conductor" in literal else "curve"
+        argv = [command, json.dumps(literal)]
+        if command == "curve":
+            argv[1:1] = ["values"]
+            argv += ["--bound", "4"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+        assert len(captured.err.encode()) < 200 and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 def test_truncation_order_has_a_limit(capsys):
     # a sparse quotient stops with its remainder, so the largest allowed
     # order answers at once; one more is refused before any series is built
