@@ -34,7 +34,7 @@ Every computation is exact below the truncation order and fails loudly
 from bisect import bisect_left
 from math import gcd, lcm
 
-from .errors import (DomainError, InputError, TruncationError, ValidationError,
+from .errors import (DomainError, InputError, TruncationError, ValidationError, echo,
                      literal_int, literal_list)
 from .mult_tree import MultiplicityTree, canonical_form, tree_to_semigroup
 from .series import SeriesTuple, parse_series
@@ -573,7 +573,7 @@ def curve_from_dict(data):
         variables = _variable_names(d)
     variables = [str(v) for v in literal_list(variables, "variables")]
     if len(variables) != d or len(set(variables)) != d:
-        raise InputError("variables must be %d distinct names, got %r" % (d, variables))
+        raise InputError("variables must be %d distinct names, got %s" % (d, echo(variables)))
     truncation = literal_int(data.get("truncation", DEFAULT_TRUNCATION), "truncation")
     if truncation <= 0:
         raise InputError("truncation must be positive, got %d" % truncation)

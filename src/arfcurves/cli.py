@@ -21,21 +21,20 @@ def dumps(payload):
 def read_json(source):
     """JSON object from a path, an inline literal, or stdin when `-`.
 
-    Messages name a path or `-` as given, and an inline literal by its
-    first LITERAL_ECHO characters, so a long literal gives a short line."""
+    Messages name the source by its first LITERAL_ECHO characters, and a
+    read error by its reason alone, so a long argument gives a short line."""
+    name = echo(source)
     if source.lstrip().startswith("{"):
         text = source
-        name = echo(source)
     else:
-        name = repr(source)
         try:
             if source == "-":
                 text = sys.stdin.read()
             else:
                 with open(source, "r", encoding="utf-8") as handle:
                     text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError("cannot read %s: %s" % (name, exc))
+        except (OSError, UnicodeDecodeError) as exc:  # strerror leaves out the path
+            raise InputError("cannot read %s: %s" % (name, getattr(exc, "strerror", None) or exc))
     try:
         data = json.loads(text)
     except RecursionError:

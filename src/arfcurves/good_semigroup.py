@@ -21,14 +21,14 @@ from itertools import combinations, compress
 from math import inf, prod
 from operator import add, ge, le, ne
 
-from .errors import DomainError, ValidationError, literal_int, literal_ints, literal_list
+from .errors import DomainError, ValidationError, echo, literal_int, literal_ints, literal_list
 from .numerical import NumericalSemigroup
 
 
 def _as_vector(value, d):
     vec = tuple(int(x) for x in value)
     if len(vec) != d:
-        raise DomainError("expected a vector of dimension %d, got %r" % (d, list(value)))
+        raise DomainError("expected a vector of dimension %d, got %s" % (d, echo(list(value))))
     if any(x < 0 for x in vec):
         raise ValidationError("vector coordinates must be natural numbers: %r" % (list(vec),))
     return vec
@@ -197,8 +197,7 @@ class GoodSemigroup:
         if self.d < 1:
             raise ValidationError("d must be >= 1")
         self.conductor = _as_vector(conductor, self.d)
-        self.small_elements = tuple(sorted({_as_vector(v, self.d)
-                                            for v in small_elements}))
+        self.small_elements = tuple(sorted({_as_vector(v, self.d) for v in small_elements}))
         self._small_set = frozenset(self.small_elements)
         if validate:
             message = _axiom_failure(self.d, self.conductor, self.small_elements)
@@ -221,13 +220,22 @@ class GoodSemigroup:
         return capped in self._small_set
 
     @classmethod
+    def _of(cls, conductor, members):
+        """From int tuples that the package built: no conversion, no check."""
+        S = cls.__new__(cls)
+        S.d, S.conductor, S._small_set = len(conductor), conductor, frozenset(members)
+        S.small_elements = tuple(sorted(S._small_set))
+        return S
+
+    @classmethod
     def natural_numbers(cls, d):
-        return cls(d, (0,) * d, [(0,) * d], validate=False)
+        if d < 1:
+            raise ValidationError("d must be >= 1")
+        return cls._of((0,) * d, [(0,) * d])
 
     @classmethod
     def from_numerical(cls, S):
-        return cls(1, (S.conductor,), [(m,) for m in (*S.small_elements, S.conductor)],
-                   validate=False)
+        return cls._of((S.conductor,), [(m,) for m in (*S.small_elements, S.conductor)])
 
     def to_numerical(self):
         if self.d != 1:
@@ -290,8 +298,7 @@ def _boxed(corner, members):
         counts = Counter(v[j] for v in members if all(v[h] >= delta[h] for h in others))
         while delta[j] and counts[delta[j] - 1] == full:
             delta[j] -= 1
-    return GoodSemigroup(len(delta), delta, [v for v in members if all(map(le, v, delta))],
-                         validate=False)
+    return GoodSemigroup._of(tuple(delta), [v for v in members if all(map(le, v, delta))])
 
 
 def residue(S, alpha):

@@ -11,11 +11,12 @@ consecutive split levels between them.
 """
 
 import itertools
+from contextlib import suppress
 from functools import cmp_to_key
 from math import prod
 
-from .errors import (DomainError, InputError, ValidationError, literal_int, literal_ints,
-                     literal_list)
+from .errors import (DomainError, InputError, ValidationError, echo, literal_int,
+                     literal_ints, literal_list)
 from .good_semigroup import GoodSemigroup, _glued_order, _project, is_local, projection
 from .numerical import MultiplicitySequence, decomposition_lengths, semigroup_to_seq
 
@@ -26,7 +27,7 @@ MAX_TREE_MEMBERS = 2 ** 20
 class MultiplicityTree:
     """Leveled tree of multiplicity vectors encoding a local Arf semigroup of N^d."""
 
-    __slots__ = ("branches", "splits")
+    __slots__ = ("branches", "splits", "_verdict")
 
     def __init__(self, branches, splits=(), validate=True):
         seqs = tuple(b if isinstance(b, MultiplicitySequence)
@@ -52,9 +53,7 @@ class MultiplicityTree:
     @property
     def stable_level(self):
         """First level from which every node vector is a unit vector."""
-        levels = [len(seq.prefix) for seq in self.branches]
-        levels.extend(s + 1 for s in self.splits)
-        return max(levels, default=0)
+        return max([len(seq.prefix) for seq in self.branches] + [s + 1 for s in self.splits])
 
     def pair_split(self, j, h):
         """Level of the branching node of branches j and h (0-based, j != h)."""
@@ -95,21 +94,19 @@ def _condition_c_failure(branches, splits):
     A node at level i glued over branches j..h forces subtree depth
     i + k_i per branch; the depths coexist in one subtree iff equal or the
     pair splits no later than cap, the shallower forced depth; cap > i, so
-    a pair parted below level i never fails there.
+    a pair parted below level i never fails there.  Walking from the smaller k_i
+    of a failing pair, the first adjacent pair whose k_i differ fails too, so
+    adjacent pairs find the level in O(levels * d); only its pairs are scanned.
     """
-    d = len(branches)
     ks = [decomposition_lengths(seq) for seq in branches]
-
-    def k(j, i):
-        return ks[j][i] if i < len(ks[j]) else 1
-
     top = min(max(splits, default=-1), max((len(table) for table in ks), default=0))
     for i in range(top + 1):
-        for j in range(d):
-            for h in range(j + 1, d):
-                kj, kh = k(j, i), k(h, i)
-                if kj != kh and min(splits[j:h]) > i + min(kj, kh):
-                    return (i, j, h, i + min(kj, kh))
+        row = [table[i] if i < len(table) else 1 for table in ks]
+        if any(a != b and s > i + min(a, b) for a, b, s in zip(row, row[1:], splits)):
+            for j in range(len(row) - 1):
+                for h, low in enumerate(itertools.accumulate(splits[j:], min), j + 1):
+                    if row[j] != row[h] and low > i + min(row[j], row[h]):
+                        return (i, j, h, i + min(row[j], row[h]))
     return None
 
 
@@ -127,12 +124,11 @@ def validate_tree(candidate):
             candidate = tree_from_dict(candidate, validate=False)
         except (DomainError, ValidationError) as exc:
             return False, str(exc)
-    failure = _condition_c_failure(candidate.branches, candidate.splits)
-    if failure is None:
-        return True, None
-    i, j, h, _ = failure
-    return False, ("condition c fails at the level-%d node of branches %d-%d"
-                   % (i, j + 1, h + 1))
+    if not hasattr(candidate, "_verdict"):  # condition c is checked once per tree
+        failure = _condition_c_failure(candidate.branches, candidate.splits)
+        candidate._verdict = (failure is None, failure and "condition c fails at the level-%d "
+                              "node of branches %d-%d" % (failure[0], failure[1] + 1, failure[2] + 1))
+    return candidate._verdict
 
 
 def tree_to_semigroup(T):
@@ -172,8 +168,8 @@ def tree_to_semigroup(T):
             out.append(tuple(a + b for a, b in zip(stem, itertools.chain(*parts))))
         return out
 
-    return GoodSemigroup(T.d, tuple(s[D + 1] for s, D in zip(sums, depth)),
-                         [(0,) * T.d] + subtrees(0, range(T.d)), validate=False)
+    return GoodSemigroup._of(tuple(s[D + 1] for s, D in zip(sums, depth)),
+                             [(0,) * T.d] + subtrees(0, range(T.d)))
 
 
 def _read_tree(S):
@@ -192,9 +188,9 @@ def _read_tree(S):
         splits.append(next((level for level in range(bound + 1)
                             if S.contains([seq.prefix_sum(level + 1 + (h <= j))
                                            for h, seq in enumerate(branches)])), -1))
-    if -1 not in splits:
+    with suppress(ValidationError):  # a split of -1, or condition c failing
         T = MultiplicityTree(branches, splits, validate=False)
-        if validate_tree(T)[0] and tree_to_semigroup(T) == S:
+        if tree_to_semigroup(T) == S:
             return T
     return None
 
@@ -267,8 +263,7 @@ def tree_intersection(T1, T2):
     """Tree of the intersection of the two semigroups: splits are the
     pointwise maxima (profiles the pointwise minima)."""
     _same_branch_collection(T1, T2)
-    return MultiplicityTree(T1.branches,
-                            tuple(max(a, b) for a, b in zip(T1.splits, T2.splits)))
+    return MultiplicityTree(T1.branches, tuple(max(a, b) for a, b in zip(T1.splits, T2.splits)))
 
 
 def canonical_form(T):
@@ -353,7 +348,7 @@ def tree_from_dict(data, validate=True):
     parsed = []
     for position, node in enumerate(literal_list(data["nodes"], "nodes")):
         if not isinstance(node, dict):
-            raise InputError("node %d must be an object, got %r" % (position, node))
+            raise InputError("node %d must be an object, got %s" % (position, echo(node)))
         if not {"level", "vector", "parent"} <= node.keys():
             raise ValidationError("node %d needs level, vector and parent" % position)
         level = literal_int(node["level"], "the level of node %d" % position)

@@ -24,20 +24,20 @@ class MultiplicitySequence:
     semigroup; a sum above MAX_CONDUCTOR is refused with a DomainError.
     """
 
-    __slots__ = ("prefix",)
+    __slots__ = ("prefix", "_lengths")
 
     def __init__(self, prefix, validate=True):
         entries = []
         for e in prefix:
             if int(e) != e or int(e) < 1:
-                raise ValidationError(
-                    "sequence entries must be positive integers, got %r" % (e,))
+                raise ValidationError("sequence entries must be positive integers, got %r" % (e,))
             entries.append(int(e))
         while entries and entries[-1] == 1:
             entries.pop()
         if sum(entries) > MAX_CONDUCTOR:
             raise DomainError("the conductor exceeds the limit of %d" % MAX_CONDUCTOR)
         self.prefix = tuple(entries)
+        self._lengths = None  # the decomposition_lengths table, once computed
         if validate:
             decomposition_lengths(self)
 
@@ -228,23 +228,22 @@ def decomposition_lengths(seq):
     """The unique k_i with e_i = e_{i+1} + ... + e_{i+k_i}, for i = 0..M.
 
     M = prefix length + max(k_i) + 1; beyond the prefix every k_i is 1.
-    Raises ValidationError naming the first index where no k exists.
-    """
-    ks = []
-    for i in range(len(seq.prefix)):
-        target = seq.entry(i)
-        total = 0
-        k = 0
-        while total < target:
-            k += 1
-            total += seq.entry(i + k)
-        if total != target:
-            raise ValidationError(
-                "invalid sequence: e_%d = %d is not a sum of consecutive successors" % (i, target))
-        ks.append(k)
-    M = len(seq.prefix) + max(ks, default=1) + 1
-    ks.extend([1] * (M + 1 - len(ks)))
-    return ks
+    Raises ValidationError naming the first index where no k exists.  The
+    table is kept on seq; each call returns a new list."""
+    if seq._lengths is None:
+        ks = []
+        n = len(seq.prefix)
+        for i, target in enumerate(seq.prefix):
+            total = k = 0
+            while total < target and i + k + 1 < n:  # past the prefix, add ones at once
+                k += 1
+                total += seq.prefix[i + k]
+            if total > target:
+                raise ValidationError("invalid sequence: e_%d = %d is not a sum of "
+                                      "consecutive successors" % (i, target))
+            ks.append(k + target - total)
+        seq._lengths = tuple(ks) + (1,) * (max(ks, default=1) + 2)
+    return list(seq._lengths)
 
 
 def restriction_numbers(seq):

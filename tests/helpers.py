@@ -101,6 +101,53 @@ def arf_good_oracle(S):
     return True
 
 
+def decomposition_lengths_oracle(seq):
+    """The unique k_i with e_i = e_{i+1} + ... + e_{i+k_i}, for i = 0..M.
+
+    M = prefix length + max(k_i) + 1; beyond the prefix every k_i is 1.
+    Raises ValidationError naming the first index where no k exists.
+    """
+    ks = []
+    for i in range(len(seq.prefix)):
+        target = seq.entry(i)
+        total = 0
+        k = 0
+        while total < target:
+            k += 1
+            total += seq.entry(i + k)
+        if total != target:
+            raise ValidationError(
+                "invalid sequence: e_%d = %d is not a sum of consecutive successors" % (i, target))
+        ks.append(k)
+    M = len(seq.prefix) + max(ks, default=1) + 1
+    ks.extend([1] * (M + 1 - len(ks)))
+    return ks
+
+
+def condition_c_oracle(branches, splits):
+    """First (level, j, h, cap) where a node vector is not a rooted-subtree sum.
+
+    A node at level i glued over branches j..h forces subtree depth
+    i + k_i per branch; the depths coexist in one subtree iff equal or the
+    pair splits no later than cap, the shallower forced depth; cap > i, so
+    a pair parted below level i never fails there.
+    """
+    d = len(branches)
+    ks = [decomposition_lengths_oracle(seq) for seq in branches]
+
+    def k(j, i):
+        return ks[j][i] if i < len(ks[j]) else 1
+
+    top = min(max(splits, default=-1), max((len(table) for table in ks), default=0))
+    for i in range(top + 1):
+        for j in range(d):
+            for h in range(j + 1, d):
+                kj, kh = k(j, i), k(h, i)
+                if kj != kh and min(splits[j:h]) > i + min(kj, kh):
+                    return (i, j, h, i + min(kj, kh))
+    return None
+
+
 def random_arf_sequence(rng, max_len=5, max_entry=9):
     """Random valid multiplicity sequence, built from the tail upward."""
     tail = [1] * (max_entry + 1)

@@ -11,6 +11,7 @@ import pytest
 import arfcurves
 from arfcurves import good_semigroup
 from arfcurves.cli import main
+from arfcurves.errors import echo
 from arfcurves.mult_tree import MultiplicityTree, tree_to_dict
 
 EX1 = '{"d":2,"conductor":[8,4],"small_elements":[[0,0],[4,2],[6,4],[8,4]]}'
@@ -350,9 +351,10 @@ def test_unreadable_inputs_exit_2(capsys, tmp_path):
     nested = tmp_path / "deep.json"
     nested.write_text(deep)
     for argv, message in [
-            (["seq", str(undecodable)], "cannot read %r: 'utf-8' codec can't decode" % str(undecodable)),
+            (["seq", str(undecodable)],
+             "cannot read %s: 'utf-8' codec can't decode" % echo(str(undecodable))),
             (["seq", deep], "nested too deeply"),
-            (["curve", "tree", str(nested)], "invalid JSON in %r: nested too deeply" % str(nested))]:
+            (["curve", "tree", str(nested)], "invalid JSON in %s: nested too deeply" % echo(str(nested)))]:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2, argv[:2]
@@ -362,7 +364,7 @@ def test_unreadable_inputs_exit_2(capsys, tmp_path):
 
 
 def test_long_inline_literal_gives_a_short_error(capsys, monkeypatch):
-    # an inline literal is named by a short prefix; a path or `-` as given
+    # an inline literal, a path or `-` is named by a short prefix
     literal = '{"d":2,"conductor":[4,6' + " " * 50000
     monkeypatch.setattr(sys, "stdin", io.StringIO(literal))
     for source, name in ((literal, repr(literal[:40]) + "..."), ("-", "'-'")):
@@ -482,6 +484,29 @@ def test_long_literal_fields_give_a_short_error(capsys):
         assert captured.err.startswith("error: " + message)
         assert len(captured.err.encode()) < 200 and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+def test_long_literal_values_give_a_short_error(capsys):
+    # a variable list, a tree node or a semigroup vector is quoted by its
+    # first 40 characters, and a path by its first 40 without the OS's copy
+    name, node, vector = "x" * 3000, "n" * 3000, [1] * 2000
+    for argv, status, message in (
+            (["curve", "tree", json.dumps({"d": 2, "variables": [name],
+                                           "generators": [["t^2", "u^2"]]})],
+             2, "variables must be 2 distinct names, got %s" % echo([name])),
+            (["tree", "render", json.dumps({"d": 1, "nodes": [node]})],
+             2, "node 0 must be an object, got %s" % echo(node)),
+            (["tree", "from-semigroup", json.dumps({"d": 2, "conductor": [4, 6],
+                                                    "small_elements": [[0, 0], vector]})],
+             1, "expected a vector of dimension 2, got %s" % echo(vector)),
+            (["seq", "[3, -" + "9" * 4000 + "]"],
+             2, "cannot read %s: File name too long" % echo("[3, -" + "9" * 4000 + "]"))):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == status, argv[:2]
+        assert captured.out == ""
+        assert captured.err == "error: " + message + "\n"
+        assert len(captured.err.encode()) < 200 and "Traceback" not in captured.err
 
 
 def test_truncation_order_has_a_limit(capsys):

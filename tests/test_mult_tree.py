@@ -1,21 +1,24 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arfcurves import good_semigroup, mult_tree
 from arfcurves.errors import DomainError, ValidationError
 from arfcurves.good_semigroup import (GoodSemigroup, fine_multiplicity, is_arf_good, is_good,
-                                      is_local)
-from arfcurves.mult_tree import (MAX_TREE_MEMBERS, MultiplicityTree, canonical_form,
-                                 node_path_sum, noether_sum, pinch, render_ascii, render_dot,
-                                 semigroup_to_tree, split_profile, tree_from_dict,
-                                 tree_intersection, tree_leq, tree_to_dict,
+                                      is_local, residue)
+from arfcurves.mult_tree import (MAX_TREE_MEMBERS, MultiplicityTree, _condition_c_failure,
+                                 canonical_form, node_path_sum, noether_sum, pinch,
+                                 render_ascii, render_dot, semigroup_to_tree, split_profile,
+                                 tree_from_dict, tree_intersection, tree_leq, tree_to_dict,
                                  tree_to_semigroup, validate_tree)
-from arfcurves.numerical import NumericalSemigroup
+from arfcurves.numerical import MultiplicitySequence, NumericalSemigroup, decomposition_lengths
 
-from helpers import (arf_good_oracle, canonical_form_oracle, random_arf_sequence, random_tree,
+from helpers import (arf_good_oracle, canonical_form_oracle, condition_c_oracle,
+                     decomposition_lengths_oracle, random_arf_sequence, random_tree,
                      tree_semigroup_oracle)
 
 # Two branches of multiplicity 2 glued one level past the root.
@@ -431,3 +434,109 @@ def test_canonical_form_random(seed):
     order = [p - 1 for p in perm]
     assert C.conductor == tuple(S.conductor[o] for o in order)
     assert set(C.small_elements) == {tuple(x[o] for o in order) for x in S.small_elements}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValidationError as exc:
+        return ValidationError, str(exc)
+
+
+def test_condition_c_matches_the_pair_scan_oracle_on_fuzzed_trees():
+    # a pool of sequences shared by the trees: validated ones, valid ones whose
+    # table is built on first use, and invalid ones; splits late past every depth
+    rng = random.Random(20)
+    pool = []
+    for _ in range(300):
+        r = rng.random()
+        if r < 0.1:
+            prefix = sorted((rng.randint(2, 9) for _ in range(rng.randint(1, 4))), reverse=True)
+            pool.append(MultiplicitySequence(prefix, validate=False))
+        else:
+            seq = random_arf_sequence(rng, max_len=5, max_entry=9)
+            pool.append(seq if r < 0.55 else MultiplicitySequence(seq.prefix, validate=False))
+    kinds = set()
+    for _ in range(50000):
+        d = rng.randint(1, 8)
+        branches = [rng.choice(pool) for _ in range(d)]
+        late = rng.random() < 0.3
+        splits = tuple(rng.randint(0, 12 if late else 3) for _ in range(d - 1))
+        failure = _outcome(condition_c_oracle, branches, splits)
+        assert _outcome(_condition_c_failure, branches, splits) == failure, (branches, splits)
+        if failure is None:
+            verdict = (True, None)
+        elif failure[0] is ValidationError:
+            verdict = failure
+        else:
+            verdict = (False, "condition c fails at the level-%d node of branches %d-%d"
+                       % (failure[0], failure[1] + 1, failure[2] + 1))
+        assert _outcome(validate_tree, MultiplicityTree(branches, splits, validate=False)) == verdict
+        built = _outcome(MultiplicityTree, branches, splits)
+        if verdict == (True, None):
+            assert isinstance(built, MultiplicityTree)
+        else:
+            assert built == (ValidationError, verdict[1])
+        kinds.add((d, verdict[0]))
+        table = _outcome(decomposition_lengths, branches[0])
+        if isinstance(table, list):  # a caller may change its copy
+            table[0] += 1
+            table.append(7)
+    # one branch never fails condition c
+    assert kinds == {(d, verdict) for d in range(1, 9)
+                     for verdict in (True, False, ValidationError)} - {(1, False)}
+    for seq in pool:
+        assert _outcome(decomposition_lengths, seq) == _outcome(decomposition_lengths_oracle, seq)
+
+
+def test_trusted_semigroups_equal_validated_ones(monkeypatch):
+    # every semigroup built without checks equals the one the checked
+    # constructor gives on the same members: tree semigroups, and the
+    # projections and residues of the Arf test
+    built = []
+    boxed = good_semigroup._boxed
+    monkeypatch.setattr(good_semigroup, "_boxed",
+                        lambda corner, members: built.append(boxed(corner, members)) or built[-1])
+    rng = random.Random(6)
+    trees = [T_PAIR, T_EX1, T_EX2, T_SPLIT0, T_SPLIT2, T_SPLIT3]
+    trees += [random_tree(rng, d_max=6, max_len=3, split_max=3) for _ in range(300)]
+    assert max(T.d for T in trees) == 6
+    for T in trees:
+        S = tree_to_semigroup(T)
+        assert S == GoodSemigroup(T.d, S.conductor, S.small_elements)
+        assert is_arf_good(S)
+        for alpha in S.small_elements:
+            residue(S, alpha)
+    assert len(built) > 1000
+    for R in built:
+        assert R == GoodSemigroup(R.d, R.conductor, R.small_elements)
+    N = NumericalSemigroup(8, [0, 4, 6])
+    assert GoodSemigroup.from_numerical(N) == GoodSemigroup(1, (8,), [(0,), (4,), (6,), (8,)])
+    assert GoodSemigroup.natural_numbers(3) == GoodSemigroup(3, (0, 0, 0), [(0, 0, 0)])
+
+
+def test_a_tree_is_checked_once(monkeypatch):
+    # a tree keeps its verdict: tree_to_semigroup of a checked tree checks
+    # nothing again, and a failing tree fails the same way each time
+    calls = []
+    check = mult_tree._condition_c_failure
+    monkeypatch.setattr(mult_tree, "_condition_c_failure",
+                        lambda *args: calls.append(args) or check(*args))
+    T = MultiplicityTree(E_PAIR, (2,))
+    assert tree_to_semigroup(T) == tree_to_semigroup(T_SPLIT2)
+    assert validate_tree(T) == (True, None)
+    late = MultiplicityTree(E_PAIR, (4,), validate=False)
+    for _ in range(2):
+        assert validate_tree(late) == (False, "condition c fails at the level-2 node of branches 1-2")
+        with pytest.raises(ValidationError, match="level-2 node of branches 1-2"):
+            tree_to_semigroup(late)
+    assert len(calls) == 2  # T and late; T_SPLIT2 was checked when the module loaded
+
+
+def test_validation_is_linear_in_the_tree():
+    # condition c passes over adjacent pairs, so two thousand branches glued
+    # through level 6 validate at once; the pair scan is O(levels * d^3)
+    start = time.perf_counter()
+    T = MultiplicityTree([[2]] * 2000, splits=(6,) * 1999)
+    assert validate_tree(T) == (True, None)
+    assert time.perf_counter() - start < 1.0
