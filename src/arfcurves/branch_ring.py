@@ -412,7 +412,7 @@ def value_set(algebra, bound):
     if len(bound) != algebra.d:
         raise DomainError("bound has dimension %d, expected %d" % (len(bound), algebra.d))
     if any(b < 0 for b in bound):
-        raise DomainError("bound coordinates must be natural numbers: %r" % (list(bound),))
+        raise DomainError("bound coordinates must be natural numbers: %s" % echo(list(bound)))
     for j in range(algebra.d):
         for g in algebra.generators:
             if g.components[j].truncation <= bound[j]:

@@ -10,11 +10,10 @@ maximizing split levels subject to the membership constraints of V.
 
 import itertools
 
-from .errors import DomainError, ValidationError, literal_int, literal_ints, literal_list
-from .good_semigroup import GoodSemigroup, projection
+from .errors import DomainError, ValidationError, echo, literal_int, literal_ints, literal_list
 from .mult_tree import (MultiplicityTree, _condition_c_failure, node_path_sum,
                         semigroup_to_tree, tree_to_semigroup)
-from .numerical import arf_characters, arf_closure, semigroup_to_seq
+from .numerical import arf_closure, characters_of_seq, semigroup_to_seq
 
 
 class CharacterVectorSet:
@@ -30,11 +29,11 @@ class CharacterVectorSet:
         for v in vectors:
             vec = tuple(int(x) for x in v)
             if len(vec) != self.d:
-                raise DomainError("vector %r has dimension %d, expected %d"
-                                  % (list(v), len(vec), self.d))
+                raise DomainError("vector %s has dimension %d, expected %d"
+                                  % (echo(list(v)), len(vec), self.d))
             if any(x < 0 for x in vec):
-                raise ValidationError("vector entries must be natural numbers: %r"
-                                      % (list(v),))
+                raise ValidationError("vector entries must be natural numbers: %s"
+                                      % echo(list(v)))
             vecs.add(vec)
         self.vectors = tuple(sorted(vecs))
 
@@ -75,22 +74,17 @@ def _minimal_member_with_coordinate(S, j, c):
 
 def _node_level(T, v, l):
     """Level k with v == node_path_sum(T, l, k), or None (1-based branch l)."""
-    seq = T.branches[l - 1]
-    target = v[l - 1]
-    k = 0
-    while seq.prefix_sum(k + 1) < target:
-        k += 1
-    if seq.prefix_sum(k + 1) != target:
-        return None
-    return k if node_path_sum(T, l, k) == v else None
+    seq, target = T.branches[l - 1], v[l - 1]
+    k = next(k for k in itertools.count() if seq.prefix_sum(k + 1) >= target)
+    return k if seq.prefix_sum(k + 1) == target and node_path_sum(T, l, k) == v else None
 
 
 def build_character_vectors(S, witness_node=None):
     """Character vectors of a local Arf good semigroup.
 
-    For each branch j and each Arf character c of projection(S, j), the
-    unique minimal member with j-th coordinate c is included.  Then every
-    consecutive pair (j, j+1) must be witnessed by a vector sitting at a
+    For each branch j of the tree of S and each Arf character c of its
+    sequence, the unique minimal member with j-th coordinate c is included.
+    Then every consecutive pair (j, j+1) must be witnessed by a vector at a
     node strictly above its branching node, on branch j or j+1; when none
     is present one is added, by default the node one level up on branch
     j+1.  witness_node=(level, branch) overrides that default; it must sit
@@ -99,8 +93,8 @@ def build_character_vectors(S, witness_node=None):
     T = semigroup_to_tree(S)
     vectors = []
     seen = set()
-    for j in range(1, S.d + 1):
-        for c in arf_characters(projection(S, j)):
+    for j, seq in enumerate(T.branches, 1):
+        for c in characters_of_seq(seq):
             v = _minimal_member_with_coordinate(S, j, c)
             if v not in seen:
                 seen.add(v)
@@ -170,8 +164,8 @@ def smallest_arf_containing(V):
         raise DomainError("at least one nonzero vector is required")
     for v in vectors:
         if 0 in v:
-            raise DomainError("vector %r has a zero coordinate; no local "
-                              "semigroup contains it" % (list(v),))
+            raise DomainError("vector %s has a zero coordinate; no local "
+                              "semigroup contains it" % echo(list(v)))
     d = V.d
     branches = [semigroup_to_seq(arf_closure(v[j] for v in vectors))
                 for j in range(d)]
@@ -189,8 +183,9 @@ def smallest_arf_containing(V):
         for j in range(d - 1):
             if m[j] != m[j + 1]:
                 bounds[j] = min(bounds[j], m[j], m[j + 1])
-    splits = _max_valid_splits(branches, bounds)
-    return tree_to_semigroup(MultiplicityTree(branches, splits, validate=False))
+    T = MultiplicityTree(branches, _max_valid_splits(branches, bounds), validate=False)
+    T._verdict = (True, None)  # _max_valid_splits has checked condition c on its splits
+    return tree_to_semigroup(T)
 
 
 def reduce_characters(V, S):

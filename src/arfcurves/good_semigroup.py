@@ -12,13 +12,13 @@ The rule is a representation convention, not one of the axioms.  is_good
 checks the axioms under it on the member set, with no grid, so its cost
 and memory follow the members rather than the volume of the box.  Residues
 and projections are read off the members, and Arf-ness off the trees of
-the local factors (is_arf_good).
+the local factors, which mult_tree reads off their members (is_arf_good).
 """
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import combinations, compress
-from math import inf, prod
+from itertools import compress
+from math import prod
 from operator import add, ge, le, ne
 
 from .errors import DomainError, ValidationError, echo, literal_int, literal_ints, literal_list
@@ -30,7 +30,7 @@ def _as_vector(value, d):
     if len(vec) != d:
         raise DomainError("expected a vector of dimension %d, got %s" % (d, echo(list(value))))
     if any(x < 0 for x in vec):
-        raise ValidationError("vector coordinates must be natural numbers: %r" % (list(vec),))
+        raise ValidationError("vector coordinates must be natural numbers: %s" % echo(list(vec)))
     return vec
 
 
@@ -118,7 +118,7 @@ def _axiom_failure(d, conductor, small):
         return "the conductor must be a member"
     for v in small:
         if any(x > c for x, c in zip(v, conductor)):
-            return "element %r lies outside the conductor box" % (list(v),)
+            return "element %s lies outside the conductor box" % echo(list(v))
     if _meet_irreducibles(d, small, members) is None:
         for i, a in enumerate(small):
             for b in small[i + 1:]:
@@ -309,7 +309,7 @@ def residue(S, alpha):
     """
     alpha = _as_vector(alpha, S.d)
     if not S.contains(alpha):
-        raise DomainError("cannot take the residue at a non-member %r" % (list(alpha),))
+        raise DomainError("cannot take the residue at a non-member %s" % echo(list(alpha)))
     floor = tuple(map(min, alpha, S.conductor))
     return _boxed(tuple(max(c - a, 0) for c, a in zip(S.conductor, alpha)),
                   {tuple(max(x - a, 0) for x, a in zip(v, alpha))
@@ -322,37 +322,20 @@ def _project(S, coords):
                   {tuple(v[j] for j in coords) for v in S.small_elements})
 
 
-def _glued_order(S):
-    """Coordinates of a local Arf S, ordered so that the glued branch groups
-    of its tree are intervals: sorted on the rows of the matrix of the split
-    levels of the plane projections, each branch ahead of itself."""
-    from .mult_tree import semigroup_to_tree
-
-    split = {(j, h): semigroup_to_tree(_project(S, (j, h))).splits[0]
-             for j, h in combinations(range(S.d), 2)}
-    return sorted(range(S.d), key=lambda j: [-split[min(j, h), max(j, h)] if h != j
-                                             else -inf for h in range(S.d)])
-
-
 def is_arf_good(S):
     """True iff residue(S, alpha) is closed under addition for every member.
 
     S is the product of its local factors (Barucci, D'Anna, Froeberg 2000)
     and a factor N, which is Arf, per coordinate with delta_j = 0.  Each
-    local factor is Arf iff its tree reads off it in glued order; the size
-    refusals of that reading pass through as DomainErrors.
+    local factor is Arf iff mult_tree._arf_tree reads its tree off it; the
+    size refusals of that reading pass through as DomainErrors.
     """
-    from .mult_tree import _read_tree
+    from .mult_tree import _arf_tree
 
     try:
-        for coords in _local_factors(S):
-            local = _project(S, coords)
-            if _read_tree(local if len(coords) < 3
-                          else _project(local, _glued_order(local))) is None:
-                return False
+        return all(_arf_tree(_project(S, coords)) for coords in _local_factors(S))
     except ValidationError:
         return False
-    return True
 
 
 def projection(S, j):

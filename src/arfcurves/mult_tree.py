@@ -12,12 +12,12 @@ consecutive split levels between them.
 
 import itertools
 from contextlib import suppress
-from functools import cmp_to_key
-from math import prod
+from functools import cache, cmp_to_key
+from math import inf, prod
 
 from .errors import (DomainError, InputError, ValidationError, echo, literal_int,
                      literal_ints, literal_list)
-from .good_semigroup import GoodSemigroup, _glued_order, _project, is_local, projection
+from .good_semigroup import GoodSemigroup, _project, is_local, projection
 from .numerical import MultiplicitySequence, decomposition_lengths, semigroup_to_seq
 
 # Most small elements tree_to_semigroup enumerates before refusing a tree.
@@ -172,49 +172,72 @@ def tree_to_semigroup(T):
                              [(0,) * T.d] + subtrees(0, range(T.d)))
 
 
-def _read_tree(S):
-    """The tree of a local S read in its coordinate order, or None.
-
-    Branch j carries the multiplicity sequence of the j-th projection.  The
-    split of branches j, j+1 is the first level l at which branches 1..j
-    reaching depth l+1 and branches j+1..d depth l sum to a member.  The tree
-    so read is returned only if its semigroup is S.
-    """
+def _branches_and_splits(S):
+    """The multiplicity sequences of the projections of S, and split(j, h)
+    for j < h: the first level l with a member whose coordinates j, h are
+    min(P_j(l+2), delta_j), min(P_h(l+1), delta_h), P the prefix sums, so
+    that the plane projection on j, h has (P_j(l+2), P_h(l+1)); else -1."""
     branches = [semigroup_to_seq(projection(S, j + 1)) for j in range(S.d)]
-    splits = []
-    for j in range(S.d - 1):
-        bound = (max(len(branches[j].prefix), len(branches[j + 1].prefix))
-                 + max(S.conductor[j], S.conductor[j + 1]) + 2)
-        splits.append(next((level for level in range(bound + 1)
-                            if S.contains([seq.prefix_sum(level + 1 + (h <= j))
-                                           for h, seq in enumerate(branches)])), -1))
-    with suppress(ValidationError):  # a split of -1, or condition c failing
-        T = MultiplicityTree(branches, splits, validate=False)
-        if tree_to_semigroup(T) == S:
-            return T
-    return None
+    at = [{} for _ in branches]  # at[j][x]: indices of the members with v_j = x
+    for i, v in enumerate(S.small_elements):
+        for j, x in enumerate(v):
+            at[j].setdefault(x, set()).add(i)
+
+    def members(k, level):
+        return at[k].get(min(branches[k].prefix_sum(level), S.conductor[k]), set())
+
+    @cache
+    def split(j, h):  # P(l) >= l, so from l = max(delta_j, delta_h) on the test is the same
+        return next((level for level in range(max(S.conductor[j], S.conductor[h]) + 1)
+                     if not members(j, level + 2).isdisjoint(members(h, level + 1))), -1)
+
+    return branches, split
+
+
+def _glued_order(d, split):
+    """Coordinates sorted on the rows of the split matrix, each branch ahead
+    of itself, so that the glued branch groups of the tree are intervals."""
+    return sorted(range(d), key=lambda j: [-split(min(j, h), max(j, h)) if h != j
+                                           else -inf for h in range(d)])
+
+
+def _arf_tree(S):
+    """(order, tree) of a local S whose tree, read with the coordinates in
+    that order, has semigroup S, or None: the coordinate order is tried
+    first, then for d >= 3 the glued order."""
+    branches, split = _branches_and_splits(S)
+
+    def read(R, order):
+        with suppress(ValidationError):  # a split of -1, or condition c failing
+            T = MultiplicityTree([branches[j] for j in order], validate=False, splits=[
+                split(*sorted(pair)) for pair in zip(order, order[1:])])
+            if tree_to_semigroup(T) == R:
+                return order, T
+        return None
+
+    order = list(range(S.d))
+    if (found := read(S, order)) or S.d < 3 or (glued := _glued_order(S.d, split)) == order:
+        return found
+    return read(_project(S, glued), glued)
 
 
 def semigroup_to_tree(S):
     """Multiplicity tree of a local Arf semigroup; inverse of tree_to_semigroup.
 
-    The tree keeps the coordinate order of S, so its glued branch groups
-    must be intervals of consecutive coordinates.  When they are not but S
-    is Arf, as the tree read in glued order shows, the DomainError names
-    that order.
+    The tree keeps the coordinate order of S.  When its glued branch groups
+    are not intervals of consecutive coordinates but S is Arf, the
+    DomainError names the glued order, in which the tree reads off S.
     """
     if not is_local(S):
         raise DomainError("only local semigroups have a multiplicity tree")
-    T = _read_tree(S)
-    if T is not None:
-        return T
-    # a plane projection without a tree raises the same ValidationError
-    order = _glued_order(S) if S.d >= 3 else None
-    if order and _read_tree(_project(S, order)) is not None:
+    order, T = _arf_tree(S) or (None, None)
+    if T is None:
+        raise ValidationError("the semigroup is not Arf; it has no multiplicity tree")
+    if order != sorted(order):
         raise DomainError("the semigroup is Arf, but its glued branches are not consecutive; "
                           "list its coordinates in the order %s"
                           % ", ".join(str(j + 1) for j in order))
-    raise ValidationError("the semigroup is not Arf; it has no multiplicity tree")
+    return T
 
 
 def node_path_sum(T, j, level):

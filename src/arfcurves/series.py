@@ -267,9 +267,6 @@ class SeriesTuple:
     def is_zero(self):
         return all(component.is_zero() for component in self.components)
 
-    def constant_vector(self):
-        return tuple(component.constant_term() for component in self.components)
-
     def _zip(self, other, op):
         """The tuple of op(a, b) over paired components, built once."""
         if not isinstance(other, SeriesTuple) or other.d != self.d:

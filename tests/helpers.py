@@ -5,14 +5,16 @@ import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations
+from math import inf
 
 import numpy as np
 
 from arfcurves import branch_ring
 from arfcurves.char_vectors import CharacterVectorSet, smallest_arf_containing
 from arfcurves.errors import DomainError, InputError, TruncationError, ValidationError
-from arfcurves.good_semigroup import _boxed
-from arfcurves.mult_tree import (MultiplicityTree, tree_intersection,
+from arfcurves.good_semigroup import _boxed, _project
+from arfcurves.mult_tree import (MultiplicityTree, semigroup_to_tree, tree_intersection,
                                  tree_to_semigroup)
 from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_closure,
                                  semigroup_to_seq)
@@ -99,6 +101,16 @@ def arf_good_oracle(S):
                 if not member([a + x + y for a, x, y in zip(alpha, g, h)]):
                     return False
     return True
+
+
+def glued_order_oracle(S):
+    """Coordinates of a local Arf S, ordered so that the glued branch groups
+    of its tree are intervals: sorted on the rows of the matrix of the split
+    levels of the plane projections, each branch ahead of itself."""
+    split = {(j, h): semigroup_to_tree(_project(S, (j, h))).splits[0]
+             for j, h in combinations(range(S.d), 2)}
+    return sorted(range(S.d), key=lambda j: [-split[min(j, h), max(j, h)] if h != j
+                                             else -inf for h in range(S.d)])
 
 
 def decomposition_lengths_oracle(seq):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arfcurves import char_vectors, mult_tree
 from arfcurves.char_vectors import (CharacterVectorSet, build_character_vectors,
                                     charset_from_dict, charset_to_dict,
                                     is_minimal_character_set, reduce_characters,
@@ -80,6 +81,29 @@ def test_smallest_arf_errors():
         smallest_arf_containing(charset((1, 0)))
     with pytest.raises(DomainError, match="gcd"):
         smallest_arf_containing(charset((2, 3), (4, 5)))
+
+
+def test_condition_c_is_checked_once_per_split_vector(monkeypatch):
+    # _max_valid_splits has checked the split vector it returns, so the tree
+    # of the closure is not checked again
+    calls = []
+    check = mult_tree._condition_c_failure
+
+    def counting(branches, splits):
+        calls.append(tuple(splits))
+        return check(branches, splits)
+
+    monkeypatch.setattr(mult_tree, "_condition_c_failure", counting)
+    monkeypatch.setattr(char_vectors, "_condition_c_failure", counting)
+    assert smallest_arf_containing(charset((4, 2), (9, 4), (6, 5))) == EX1
+    assert calls == [(1,)]
+    rng = random.Random(3)
+    for _ in range(40):
+        S = tree_to_semigroup(random_tree(rng, d_max=4, max_len=3, split_max=3))
+        V = build_character_vectors(S)
+        calls.clear()
+        assert smallest_arf_containing(V) == S
+        assert len(calls) == len(set(calls)) >= 1, calls
 
 
 def test_reduce_drops_pair_minimum():

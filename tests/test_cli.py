@@ -10,6 +10,7 @@ import pytest
 
 import arfcurves
 from arfcurves import good_semigroup
+from arfcurves.branch_ring import _variable_names
 from arfcurves.cli import main
 from arfcurves.errors import echo
 from arfcurves.mult_tree import MultiplicityTree, tree_to_dict
@@ -488,9 +489,32 @@ def test_long_literal_fields_give_a_short_error(capsys):
 
 def test_long_literal_values_give_a_short_error(capsys):
     # a variable list, a tree node or a semigroup vector is quoted by its
-    # first 40 characters, and a path by its first 40 without the OS's copy
+    # first 40 characters, and a path by its first 40 without the OS's copy;
+    # so is a vector of 2,000 coordinates with one bad coordinate, also in
+    # the reason that `check` reports
     name, node, vector = "x" * 3000, "n" * 3000, [1] * 2000
+    negative, zero, two = ([1] * 1999 + [x] for x in (-1, 0, 2))
+
+    def semigroup(*small):
+        return json.dumps({"d": 2000, "conductor": vector, "small_elements": [[0] * 2000, *small]})
+
+    def reason(message):
+        return '{"is_arf":null,"is_good":false,"is_local":null,"reason":"%s"}' % message
+
     for argv, status, message in (
+            (["check", semigroup(negative)], 0,
+             reason("vector coordinates must be natural numbers: %s" % echo(negative))),
+            (["check", semigroup(vector, two)], 0,
+             reason("element %s lies outside the conductor box" % echo(two))),
+            (["tree", "from-semigroup", semigroup(negative)],
+             1, "vector coordinates must be natural numbers: %s" % echo(negative)),
+            (["chars", "closure", json.dumps({"d": 2000, "vectors": [negative]})],
+             1, "vector entries must be natural numbers: %s" % echo(negative)),
+            (["chars", "closure", json.dumps({"d": 2000, "vectors": [zero]})],
+             1, "vector %s has a zero coordinate; no local semigroup contains it" % echo(zero)),
+            (["curve", "values", json.dumps({"d": 2000, "generators": [_variable_names(2000)]}),
+              "--bound", ",".join(map(str, negative))],
+             1, "bound coordinates must be natural numbers: %s" % echo(negative)),
             (["curve", "tree", json.dumps({"d": 2, "variables": [name],
                                            "generators": [["t^2", "u^2"]]})],
              2, "variables must be 2 distinct names, got %s" % echo([name])),
@@ -504,9 +528,13 @@ def test_long_literal_values_give_a_short_error(capsys):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == status, argv[:2]
-        assert captured.out == ""
-        assert captured.err == "error: " + message + "\n"
-        assert len(captured.err.encode()) < 200 and "Traceback" not in captured.err
+        if status:
+            assert captured.out == ""
+            assert captured.err == "error: " + message + "\n"
+        else:
+            assert captured.out == message + "\n" and captured.err == ""
+        assert len((captured.out + captured.err).encode()) < 200
+        assert "Traceback" not in captured.err
 
 
 def test_truncation_order_has_a_limit(capsys):

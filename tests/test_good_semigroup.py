@@ -106,6 +106,10 @@ def test_residue_examples():
     assert residue(EX1, (10, 7)) == N2
     with pytest.raises(DomainError):
         residue(EX1, (1, 1))
+    # a long non-member is quoted by its first 40 characters
+    wide = GoodSemigroup(2000, [1] * 2000, [[0] * 2000, [1] * 2000])
+    with pytest.raises(DomainError, match=r"non-member \[(1, ){13}\.\.\.$"):
+        residue(wide, [1] * 1999 + [0])
 
 
 def test_residue_matches_shifted_membership():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +11,17 @@ from arfcurves import good_semigroup, mult_tree
 from arfcurves.errors import DomainError, ValidationError
 from arfcurves.good_semigroup import (GoodSemigroup, fine_multiplicity, is_arf_good, is_good,
                                       is_local, residue)
-from arfcurves.mult_tree import (MAX_TREE_MEMBERS, MultiplicityTree, _condition_c_failure,
-                                 canonical_form, node_path_sum, noether_sum, pinch,
+from arfcurves.mult_tree import (MAX_TREE_MEMBERS, MultiplicityTree, _branches_and_splits,
+                                 _condition_c_failure, _glued_order, canonical_form,
+                                 node_path_sum, noether_sum, pinch,
                                  render_ascii, render_dot, semigroup_to_tree, split_profile,
                                  tree_from_dict, tree_intersection, tree_leq, tree_to_dict,
                                  tree_to_semigroup, validate_tree)
 from arfcurves.numerical import MultiplicitySequence, NumericalSemigroup, decomposition_lengths
 
 from helpers import (arf_good_oracle, canonical_form_oracle, condition_c_oracle,
-                     decomposition_lengths_oracle, random_arf_sequence, random_tree,
-                     tree_semigroup_oracle)
+                     decomposition_lengths_oracle, glued_order_oracle, random_arf_sequence,
+                     random_tree, tree_semigroup_oracle)
 
 # Two branches of multiplicity 2 glued one level past the root.
 T_PAIR = MultiplicityTree([[2], [2]], splits=(1,))
@@ -34,6 +36,8 @@ T_SPLIT2 = MultiplicityTree(E_PAIR, splits=(2,))
 T_SPLIT3 = MultiplicityTree(E_PAIR, splits=(3,))
 
 EX1 = GoodSemigroup(2, (8, 4), [(0, 0), (4, 2), (6, 4), (8, 4)])
+# Twelve smooth branches with 2,593 small elements.
+TWELVE = MultiplicityTree([[1]] * 12, splits=(3, 0, 5, 1, 4, 2, 6, 0, 2, 7, 1))
 
 
 def test_validate_examples():
@@ -121,12 +125,13 @@ def test_tree_to_semigroup_refuses_oversized_output():
 def test_semigroup_to_tree_verdict_on_mutations():
     # Add or remove one member of a tree semigroup; among the mutants that are
     # good and local, exactly the Arf ones have a tree, whose semigroup they are.
+    # With four or five branches the mutants are read in a shuffled order, and
+    # an Arf one whose glued groups are not intervals reads in the order named.
     rng = random.Random(7)
-    verdicts = {True: 0, False: 0}
-    for _ in range(120):
-        S = tree_to_semigroup(random_tree(rng, d_max=3, max_len=3, max_entry=4,
-                                          split_max=2))
-        for v in itertools.product(*(range(c + 1) for c in S.conductor)):
+    verdicts = Counter()
+
+    def check(S, cells, shuffle):
+        for v in cells:
             if v in ((0,) * S.d, S.conductor):
                 continue
             small = set(S.small_elements) ^ {v}
@@ -138,15 +143,35 @@ def test_semigroup_to_tree_verdict_on_mutations():
                 continue
             if not is_local(mutant):
                 continue
+            if shuffle:
+                mutant = good_semigroup._project(mutant, rng.sample(range(S.d), S.d))
             arf = arf_good_oracle(mutant)
             assert is_arf_good(mutant) == arf
-            verdicts[arf] += 1
-            if arf:
-                assert tree_to_semigroup(semigroup_to_tree(mutant)) == mutant
-            else:
+            verdicts[shuffle, arf] += 1
+            if not arf:
                 with pytest.raises(DomainError, match="not Arf"):
                     semigroup_to_tree(mutant)
-    assert min(verdicts.values()) >= 10, verdicts
+                continue
+            try:
+                T = semigroup_to_tree(mutant)
+            except DomainError as exc:
+                assert shuffle and "list its coordinates in the order" in str(exc)
+                order = [int(j) - 1 for j in str(exc).rsplit("order ", 1)[1].split(", ")]
+                mutant = good_semigroup._project(mutant, order)
+                T = semigroup_to_tree(mutant)
+            assert tree_to_semigroup(T) == mutant
+
+    for _ in range(120):
+        S = tree_to_semigroup(random_tree(rng, d_max=3, max_len=3, max_entry=4,
+                                          split_max=2))
+        check(S, itertools.product(*(range(c + 1) for c in S.conductor)), False)
+    while min(verdicts[True, arf] for arf in (True, False)) < 10:
+        S = tree_to_semigroup(random_tree(rng, d_max=5, max_len=3, max_entry=4,
+                                          split_max=2))
+        box = list(itertools.product(*(range(c + 1) for c in S.conductor)))
+        if S.d >= 4 and len(box) <= 800:
+            check(S, rng.sample(box, min(len(box), 60)), True)
+    assert min(verdicts[key] for key in itertools.product((False, True), repeat=2)) >= 10, verdicts
 
 
 def test_semigroup_to_tree_round_trips_twelve_branches():
@@ -154,6 +179,55 @@ def test_semigroup_to_tree_round_trips_twelve_branches():
     S = tree_to_semigroup(tree)
     assert len(S.small_elements) == 2593
     assert semigroup_to_tree(S) == tree
+
+
+def test_glued_order_matches_the_oracle():
+    # pair splits read off the members give the order that the plane trees
+    # gave, in any coordinate order
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(120):
+        S = tree_to_semigroup(random_tree(rng, d_max=6, max_len=3, max_entry=4, split_max=3))
+        if S.d < 3:
+            continue
+        seen.add(S.d)
+        S = good_semigroup._project(S, rng.sample(range(S.d), S.d))
+        assert _glued_order(S.d, _branches_and_splits(S)[1]) == glued_order_oracle(S)
+    assert seen == {3, 4, 5, 6}
+    twelve = tree_to_semigroup(TWELVE)
+    for _ in range(5):
+        S = good_semigroup._project(twelve, rng.sample(range(12), 12))
+        assert _glued_order(12, _branches_and_splits(S)[1]) == glued_order_oracle(S)
+
+
+def test_a_semigroup_in_glued_order_is_read_once(monkeypatch):
+    # is_arf_good and semigroup_to_tree build one tree and no plane tree:
+    # no projection onto two coordinates, nested semigroup_to_tree or glued order
+    rng = random.Random(5)
+    trees = [TWELVE] + [random_tree(rng, d_max=6, max_len=3, max_entry=4, split_max=3)
+                        for _ in range(30)]
+    trees = [(T, tree_to_semigroup(T)) for T in trees if T.d >= 3]
+    calls = Counter()
+    project = good_semigroup._project
+
+    def planes(S, coords):
+        calls.update(["plane"] * (len(coords) == 2))
+        return project(S, coords)
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    for module in (good_semigroup, mult_tree):
+        monkeypatch.setattr(module, "_project", planes)
+    for name in ("semigroup_to_tree", "tree_to_semigroup", "_glued_order"):
+        monkeypatch.setattr(mult_tree, name, counted(name, getattr(mult_tree, name)))
+    for T, S in trees:
+        calls.clear()
+        assert is_arf_good(S)
+        assert calls == Counter(["tree_to_semigroup"]), T
+        calls.clear()
+        assert semigroup_to_tree(S) == T
+        assert calls == Counter(["tree_to_semigroup"]), T
 
 
 def test_node_path_sums():
