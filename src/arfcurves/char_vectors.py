@@ -6,9 +6,15 @@ vector over each branching node that no such member already witnesses.
 Conversely, the smallest Arf semigroup containing a finite vector set V is
 computed over the branch collection E of per-coordinate Arf closures by
 maximizing split levels subject to the membership constraints of V.
+
+Whether V determines S is decided on trees.  Trees and Arf semigroups
+correspond one to one, so smallest(V) = S exactly when the closure tree of
+V is the tree of S; S is read once, and each vector set tried after that
+costs its closure tree, with no semigroup built.
 """
 
 import itertools
+from functools import cache
 
 from .errors import DomainError, ValidationError, echo, literal_int, literal_ints, literal_list
 from .mult_tree import (MultiplicityTree, _condition_c_failure, node_path_sum,
@@ -72,13 +78,6 @@ def _minimal_member_with_coordinate(S, j, c):
                  for h in range(S.d))
 
 
-def _node_level(T, v, l):
-    """Level k with v == node_path_sum(T, l, k), or None (1-based branch l)."""
-    seq, target = T.branches[l - 1], v[l - 1]
-    k = next(k for k in itertools.count() if seq.prefix_sum(k + 1) >= target)
-    return k if seq.prefix_sum(k + 1) == target and node_path_sum(T, l, k) == v else None
-
-
 def build_character_vectors(S, witness_node=None):
     """Character vectors of a local Arf good semigroup.
 
@@ -91,6 +90,13 @@ def build_character_vectors(S, witness_node=None):
     strictly above the branching node of a pair that needs a witness.
     """
     T = semigroup_to_tree(S)
+
+    @cache
+    def node_level(v, l):  # k with v == node_path_sum(T, l, k), or None (1-based l)
+        seq, target = T.branches[l - 1], v[l - 1]
+        k = seq.index_of(target)
+        return k if seq.prefix_sum(k + 1) == target and node_path_sum(T, l, k) == v else None
+
     vectors = []
     seen = set()
     for j, seq in enumerate(T.branches, 1):
@@ -103,7 +109,7 @@ def build_character_vectors(S, witness_node=None):
     for j in range(1, S.d):
         s = T.pair_split(j - 1, j)
         witnessed = any(
-            (lvl := _node_level(T, v, l)) is not None and lvl > s
+            (lvl := node_level(v, l)) is not None and lvl > s
             for v in vectors for l in (j, j + 1))
         if witnessed:
             continue
@@ -150,33 +156,30 @@ def _max_valid_splits(branches, bounds):
     return solve(tuple(int(b) for b in bounds))
 
 
-def smallest_arf_containing(V):
-    """Smallest Arf good semigroup containing the vectors of V.
+def _closure_tree(d, vectors, closures):
+    """Tree of the smallest Arf good semigroup containing the vectors of N^d.
 
     The branch collection is fixed by the per-coordinate Arf closures; a
     vector whose prefix-sum indices k_j and k_{j+1} differ forces the pair
     to split no later than min(k_j, k_{j+1}), and all branches must be
     distinct one level past the deepest index seen.  The splits are then
-    the largest valid levels within those bounds.
+    the largest valid levels within those bounds.  `closures` keeps each
+    closure by its set of values, across the calls that share it.
     """
-    vectors = [v for v in V.vectors if any(v)]
+    vectors = [v for v in vectors if any(v)]
     if not vectors:
         raise DomainError("at least one nonzero vector is required")
     for v in vectors:
         if 0 in v:
             raise DomainError("vector %s has a zero coordinate; no local "
                               "semigroup contains it" % echo(list(v)))
-    d = V.d
-    branches = [semigroup_to_seq(arf_closure(v[j] for v in vectors))
-                for j in range(d)]
-
-    def index_of(j, value):
-        k = 0
-        while branches[j].prefix_sum(k + 1) < value:
-            k += 1
-        return k
-
-    indices = [tuple(index_of(j, v[j]) for j in range(d)) for v in vectors]
+    branches = []
+    for j in range(d):
+        values = frozenset(v[j] for v in vectors)
+        if values not in closures:
+            closures[values] = semigroup_to_seq(arf_closure(values))
+        branches.append(closures[values])
+    indices = [tuple(seq.index_of(x) for seq, x in zip(branches, v)) for v in vectors]
     N = max(max(m) for m in indices) + 1
     bounds = [N - 1] * (d - 1)
     for m in indices:
@@ -185,17 +188,51 @@ def smallest_arf_containing(V):
                 bounds[j] = min(bounds[j], m[j], m[j + 1])
     T = MultiplicityTree(branches, _max_valid_splits(branches, bounds), validate=False)
     T._verdict = (True, None)  # _max_valid_splits has checked condition c on its splits
-    return tree_to_semigroup(T)
+    return T
+
+
+def smallest_arf_containing(V):
+    """Smallest Arf good semigroup containing the vectors of V: the semigroup
+    of their closure tree."""
+    return tree_to_semigroup(_closure_tree(V.d, V.vectors, {}))
+
+
+def _determines(d, S):
+    """Test of "the vectors determine S" on sets W of vectors of N^d.
+
+    smallest_arf_containing(W) == S iff the closure tree of W is the tree of
+    S read in coordinate order, since trees and Arf semigroups correspond
+    one to one; so S is read once, and each W costs its closure tree alone.
+    S has no such tree when it is not Arf, not local or not in glued order,
+    and then no W determines it.  Closures are kept across the sets.
+    """
+    try:
+        found = semigroup_to_tree(S)
+    except DomainError:  # not local, not Arf, out of glued order, or refused for size
+        found = None
+    closures = {}
+
+    def determines(vectors):
+        try:
+            return found is not None and _closure_tree(d, vectors, closures) == found
+        except DomainError:
+            return False
+
+    return determines
 
 
 def reduce_characters(V, S):
     """Shrink a determining vector set: drop coordinatewise minima of pairs,
-    then greedily drop vectors whose removal keeps smallest_arf_containing = S."""
-    try:
-        determined = smallest_arf_containing(V) == S
-    except DomainError:
-        determined = False
-    if not determined:
+    then greedily drop vectors whose removal keeps smallest_arf_containing = S.
+
+    Each trial compares the closure tree of the remaining vectors with the
+    tree of S read once.  That is the same test: a tree and
+    its Arf semigroup determine each other, so the closure semigroup is S
+    exactly when the closure tree is the tree of S.  No trial builds a
+    semigroup, so a trial costs the size of the tree, not of S.
+    """
+    determines = _determines(V.d, S)
+    if not determines(V.vectors):
         raise DomainError("the vector set does not determine the semigroup")
     vectors = set(V.vectors)
     changed = True
@@ -211,23 +248,15 @@ def reduce_characters(V, S):
         trial = vectors - {v}
         if not trial:
             break
-        try:
-            if smallest_arf_containing(CharacterVectorSet(V.d, trial)) == S:
-                vectors = trial
-        except DomainError:
-            pass
+        if determines(trial):
+            vectors = trial
     return CharacterVectorSet(V.d, vectors)
 
 
 def is_minimal_character_set(V, S):
     """True iff V determines S and no V minus one vector does: determination
     is monotone, as W <= U <= V gives S = smallest(W) <= smallest(U) <= S."""
-    def determines(vectors):
-        try:
-            return smallest_arf_containing(CharacterVectorSet(V.d, vectors)) == S
-        except (DomainError, ValidationError):
-            return False
-
+    determines = _determines(V.d, S)
     if not determines(V.vectors):
         return False
     return not any(determines(V.vectors[:i] + V.vectors[i + 1:])

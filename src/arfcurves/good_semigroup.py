@@ -290,9 +290,13 @@ def _boxed(corner, members):
     """The semigroup with these members in the box [0, corner], beyond which
     the cap rule holds at corner.  Coordinate j of the conductor drops while
     the slab below it, [delta_h, corner_h] in every other h, is all members.
+    The first slab holds delta - e_j, so when that is missing coordinate j
+    stays and no slab is counted.
     """
     delta = list(corner)
-    for j in range(len(delta)):
+    for j, c in enumerate(corner):
+        if not c or (*delta[:j], c - 1, *delta[j + 1:]) not in members:
+            continue
         others = [h for h in range(len(delta)) if h != j]
         full = prod(corner[h] - delta[h] + 1 for h in others)
         counts = Counter(v[j] for v in members if all(v[h] >= delta[h] for h in others))

@@ -17,8 +17,9 @@ from math import inf, prod
 
 from .errors import (DomainError, InputError, ValidationError, echo, literal_int,
                      literal_ints, literal_list)
-from .good_semigroup import GoodSemigroup, _project, is_local, projection
-from .numerical import MultiplicitySequence, decomposition_lengths, semigroup_to_seq
+from .good_semigroup import GoodSemigroup, _project, is_local
+from .numerical import (MultiplicitySequence, NumericalSemigroup, decomposition_lengths,
+                        semigroup_to_seq)
 
 # Most small elements tree_to_semigroup enumerates before refusing a tree.
 MAX_TREE_MEMBERS = 2 ** 20
@@ -176,12 +177,16 @@ def _branches_and_splits(S):
     """The multiplicity sequences of the projections of S, and split(j, h)
     for j < h: the first level l with a member whose coordinates j, h are
     min(P_j(l+2), delta_j), min(P_h(l+1), delta_h), P the prefix sums, so
-    that the plane projection on j, h has (P_j(l+2), P_h(l+1)); else -1."""
-    branches = [semigroup_to_seq(projection(S, j + 1)) for j in range(S.d)]
-    at = [{} for _ in branches]  # at[j][x]: indices of the members with v_j = x
+    that the plane projection on j, h has (P_j(l+2), P_h(l+1)); else -1.
+    Branch j is read off the values of at[j] below delta_j: the ones past
+    the conductor of the projection are the trailing ones a sequence drops."""
+    at = [{} for _ in S.conductor]  # at[j][x]: indices of the members with v_j = x
     for i, v in enumerate(S.small_elements):
         for j, x in enumerate(v):
             at[j].setdefault(x, set()).add(i)
+    branches = [semigroup_to_seq(NumericalSemigroup(c, [x for x in values if x < c] or [0],
+                                                    validate=False))
+                for values, c in zip(at, S.conductor)]
 
     def members(k, level):
         return at[k].get(min(branches[k].prefix_sum(level), S.conductor[k]), set())
@@ -245,10 +250,10 @@ def node_path_sum(T, j, level):
     branch j (1-based); always a member of the tree's semigroup."""
     if not 1 <= j <= T.d:
         raise DomainError("branch index %d out of range 1..%d" % (j, T.d))
-    l = j - 1
-    return tuple(
-        T.branches[h].prefix_sum((level if h == l else min(level, T.pair_split(l, h))) + 1)
-        for h in range(T.d))
+    l = j - 1  # caps[h] = pair_split(l, h), as running minima outward from l
+    caps = [*itertools.accumulate(reversed(T.splits[:l]), min)][::-1] + [level] + [
+        *itertools.accumulate(T.splits[l:], min)]
+    return tuple(seq.prefix_sum(min(level, cap) + 1) for seq, cap in zip(T.branches, caps))
 
 
 def split_profile(T, N):
@@ -307,16 +312,17 @@ def canonical_form(T):
         # rows[L]: the group's entries inside an ancestor's node for L < level,
         # then its node vectors; perm: its branches in canonical order
         if len(group) == 1:
-            last = top
-            children = [([(T.branches[group[0]].entry(L),) for L in range(top + 1)],
-                         tuple(group))]
-        else:
-            last = min(T.splits[group[0]:group[-1]])
-            children = sorted((form(last + 1, child) for child in T.groups(last + 1)
-                               if child[0] in group), key=cmp_to_key(_sibling_order))
-        rows = [sum((sub[L] for sub, _ in children), ()) for L in range(top + 1)]
+            prefix = T.branches[group[0]].prefix
+            rows = [(e,) for e in prefix] + [(1,)] * (top + 1 - len(prefix))
+            return ([(row,) if L >= level else row for L, row in enumerate(rows)],
+                    tuple(group))
+        last = min(T.splits[group[0]:group[-1]])
+        children = sorted((form(last + 1, child) for child in T.groups(last + 1)
+                           if child[0] in group), key=cmp_to_key(_sibling_order))
+        join = itertools.chain.from_iterable
+        rows = [tuple(join(parts)) for parts in zip(*(sub for sub, _ in children))]
         return ([(row,) if level <= L <= last else row for L, row in enumerate(rows)],
-                sum((perm for _, perm in children), ()))
+                tuple(join(perm for _, perm in children)))
 
     _, perm = form(0, range(T.d))
     splits = [T.pair_split(perm[i], perm[i + 1]) for i in range(T.d - 1)]

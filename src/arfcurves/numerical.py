@@ -7,6 +7,7 @@ eventually 1 and satisfies e_i = e_{i+1} + ... + e_{i+k_i} for a unique
 k_i >= 1 at every index.
 """
 
+from bisect import bisect_left
 from itertools import accumulate
 from math import gcd, inf
 
@@ -22,9 +23,11 @@ class MultiplicitySequence:
     Only the entries before the trailing all-ones tail are kept; entry(i)
     returns 1 beyond the prefix.  Their sum is the conductor of the
     semigroup; a sum above MAX_CONDUCTOR is refused with a DomainError.
+    The prefix sums are kept on first use, so prefix_sum is one lookup and
+    index_of one bisection.
     """
 
-    __slots__ = ("prefix", "_lengths")
+    __slots__ = ("prefix", "_lengths", "_sums")
 
     def __init__(self, prefix, validate=True):
         entries = []
@@ -38,15 +41,29 @@ class MultiplicitySequence:
             raise DomainError("the conductor exceeds the limit of %d" % MAX_CONDUCTOR)
         self.prefix = tuple(entries)
         self._lengths = None  # the decomposition_lengths table, once computed
+        self._sums = None  # (0, e_0, e_0 + e_1, ..., sum of the prefix), once computed
         if validate:
             decomposition_lengths(self)
 
     def entry(self, i):
         return self.prefix[i] if i < len(self.prefix) else 1
 
+    def _kept_sums(self):
+        if self._sums is None:
+            self._sums = tuple(accumulate(self.prefix, initial=0))
+        return self._sums
+
     def prefix_sum(self, n):
-        """e_0 + ... + e_{n-1}."""
-        return sum(self.prefix[:n]) + max(0, n - len(self.prefix))
+        """e_0 + ... + e_{n-1}, for n >= 0."""
+        sums = self._kept_sums()
+        return sums[n] if n < len(sums) else sums[-1] + n - len(sums) + 1
+
+    def index_of(self, value):
+        """The least k with e_0 + ... + e_k >= value."""
+        sums = self._kept_sums()
+        if value > sums[-1]:
+            return len(sums) - 2 + value - sums[-1]
+        return bisect_left(sums, value, 1) - 1
 
     def __eq__(self, other):
         return isinstance(other, MultiplicitySequence) and self.prefix == other.prefix

@@ -4,20 +4,24 @@ import itertools
 import math
 import re
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
+from functools import cache, cmp_to_key
 from itertools import combinations
 from math import inf
+from operator import le
 
 import numpy as np
 
 from arfcurves import branch_ring
-from arfcurves.char_vectors import CharacterVectorSet, smallest_arf_containing
-from arfcurves.errors import DomainError, InputError, TruncationError, ValidationError
-from arfcurves.good_semigroup import _boxed, _project
-from arfcurves.mult_tree import (MultiplicityTree, semigroup_to_tree, tree_intersection,
-                                 tree_to_semigroup)
+from arfcurves.char_vectors import (CharacterVectorSet, _max_valid_splits,
+                                    _minimal_member_with_coordinate, smallest_arf_containing)
+from arfcurves.errors import DomainError, InputError, TruncationError, ValidationError, echo
+from arfcurves.good_semigroup import GoodSemigroup, _boxed, _project, projection
+from arfcurves.mult_tree import (MultiplicityTree, _sibling_order, semigroup_to_tree,
+                                 tree_intersection, tree_to_semigroup)
 from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_closure,
-                                 semigroup_to_seq)
+                                 characters_of_seq, semigroup_to_seq)
 from arfcurves.series import SeriesTuple, TruncatedSeries
 
 
@@ -158,6 +162,10 @@ def condition_c_oracle(branches, splits):
                 if kj != kh and min(splits[j:h]) > i + min(kj, kh):
                     return (i, j, h, i + min(kj, kh))
     return None
+
+
+# Twelve smooth branches with 2,593 small elements.
+TWELVE = MultiplicityTree([[1]] * 12, splits=(3, 0, 5, 1, 4, 2, 6, 0, 2, 7, 1))
 
 
 def random_arf_sequence(rng, max_len=5, max_entry=9):
@@ -1003,3 +1011,242 @@ def parse_series_oracle(text, variable, truncation):
             raise InputError("dangling %r at the end of the series" % token, position)
         parse_term(-1 if token == "-" else 1)
     return TruncatedSeries(terms, truncation)
+
+
+# Character sets decided by rebuilding and comparing semigroups, the tree
+# reading with one projection per coordinate, the conductor drop that counts
+# every slab, and the canonical form that reads each leaf entry by entry.
+# Each is kept word for word from the code that read trees at semigroup size,
+# under an _oracle name, with its calls pointing at the oracles.
+
+
+def node_path_sum_oracle(T, j, level):
+    """Sum of the node vectors from the root through the level-th node on
+    branch j (1-based); always a member of the tree's semigroup."""
+    if not 1 <= j <= T.d:
+        raise DomainError("branch index %d out of range 1..%d" % (j, T.d))
+    l = j - 1
+    return tuple(
+        T.branches[h].prefix_sum((level if h == l else min(level, T.pair_split(l, h))) + 1)
+        for h in range(T.d))
+
+
+def _node_level_oracle(T, v, l):
+    """Level k with v == node_path_sum(T, l, k), or None (1-based branch l)."""
+    seq, target = T.branches[l - 1], v[l - 1]
+    k = next(k for k in itertools.count() if seq.prefix_sum(k + 1) >= target)
+    return k if seq.prefix_sum(k + 1) == target and node_path_sum_oracle(T, l, k) == v else None
+
+
+def build_character_vectors_oracle(S, witness_node=None):
+    """Character vectors of a local Arf good semigroup.
+
+    For each branch j of the tree of S and each Arf character c of its
+    sequence, the unique minimal member with j-th coordinate c is included.
+    Then every consecutive pair (j, j+1) must be witnessed by a vector at a
+    node strictly above its branching node, on branch j or j+1; when none
+    is present one is added, by default the node one level up on branch
+    j+1.  witness_node=(level, branch) overrides that default; it must sit
+    strictly above the branching node of a pair that needs a witness.
+    """
+    T = semigroup_to_tree(S)
+    vectors = []
+    seen = set()
+    for j, seq in enumerate(T.branches, 1):
+        for c in characters_of_seq(seq):
+            v = _minimal_member_with_coordinate(S, j, c)
+            if v not in seen:
+                seen.add(v)
+                vectors.append(v)
+    override_used = witness_node is None
+    for j in range(1, S.d):
+        s = T.pair_split(j - 1, j)
+        witnessed = any(
+            (lvl := _node_level_oracle(T, v, l)) is not None and lvl > s
+            for v in vectors for l in (j, j + 1))
+        if witnessed:
+            continue
+        level, branch = (witness_node if not override_used
+                         else (s + 1, j + 1))
+        if branch in (j, j + 1) and level > s:
+            override_used = True
+        else:
+            level, branch = s + 1, j + 1
+        v = node_path_sum_oracle(T, branch, level)
+        if v not in seen:
+            seen.add(v)
+            vectors.append(v)
+    if not override_used:
+        raise DomainError("witness node %r does not sit strictly above an "
+                          "unwitnessed branching node" % (witness_node,))
+    return CharacterVectorSet(S.d, vectors)
+
+
+def smallest_arf_containing_oracle(V):
+    """Smallest Arf good semigroup containing the vectors of V.
+
+    The branch collection is fixed by the per-coordinate Arf closures; a
+    vector whose prefix-sum indices k_j and k_{j+1} differ forces the pair
+    to split no later than min(k_j, k_{j+1}), and all branches must be
+    distinct one level past the deepest index seen.  The splits are then
+    the largest valid levels within those bounds.
+    """
+    vectors = [v for v in V.vectors if any(v)]
+    if not vectors:
+        raise DomainError("at least one nonzero vector is required")
+    for v in vectors:
+        if 0 in v:
+            raise DomainError("vector %s has a zero coordinate; no local "
+                              "semigroup contains it" % echo(list(v)))
+    d = V.d
+    branches = [semigroup_to_seq(arf_closure(v[j] for v in vectors))
+                for j in range(d)]
+
+    def index_of(j, value):
+        k = 0
+        while branches[j].prefix_sum(k + 1) < value:
+            k += 1
+        return k
+
+    indices = [tuple(index_of(j, v[j]) for j in range(d)) for v in vectors]
+    N = max(max(m) for m in indices) + 1
+    bounds = [N - 1] * (d - 1)
+    for m in indices:
+        for j in range(d - 1):
+            if m[j] != m[j + 1]:
+                bounds[j] = min(bounds[j], m[j], m[j + 1])
+    T = MultiplicityTree(branches, _max_valid_splits(branches, bounds), validate=False)
+    T._verdict = (True, None)  # _max_valid_splits has checked condition c on its splits
+    return tree_to_semigroup(T)
+
+
+def reduce_characters_oracle(V, S):
+    """Shrink a determining vector set: drop coordinatewise minima of pairs,
+    then greedily drop vectors whose removal keeps smallest_arf_containing = S."""
+    try:
+        determined = smallest_arf_containing_oracle(V) == S
+    except DomainError:
+        determined = False
+    if not determined:
+        raise DomainError("the vector set does not determine the semigroup")
+    vectors = set(V.vectors)
+    changed = True
+    while changed:
+        changed = False
+        for v1, v2 in itertools.combinations(sorted(vectors), 2):
+            v3 = tuple(map(min, v1, v2))
+            if v3 != v1 and v3 != v2 and v3 in vectors:
+                vectors.discard(v3)
+                changed = True
+                break
+    for v in sorted(vectors):
+        trial = vectors - {v}
+        if not trial:
+            break
+        try:
+            if smallest_arf_containing_oracle(CharacterVectorSet(V.d, trial)) == S:
+                vectors = trial
+        except DomainError:
+            pass
+    return CharacterVectorSet(V.d, vectors)
+
+
+def is_minimal_character_set_rebuild_oracle(V, S):
+    """True iff V determines S and no V minus one vector does: determination
+    is monotone, as W <= U <= V gives S = smallest(W) <= smallest(U) <= S."""
+    def determines(vectors):
+        try:
+            return smallest_arf_containing_oracle(CharacterVectorSet(V.d, vectors)) == S
+        except (DomainError, ValidationError):
+            return False
+
+    if not determines(V.vectors):
+        return False
+    return not any(determines(V.vectors[:i] + V.vectors[i + 1:])
+                   for i in range(len(V.vectors)))
+
+
+def boxed_oracle(corner, members):
+    """The semigroup with these members in the box [0, corner], beyond which
+    the cap rule holds at corner.  Coordinate j of the conductor drops while
+    the slab below it, [delta_h, corner_h] in every other h, is all members.
+    """
+    delta = list(corner)
+    for j in range(len(delta)):
+        others = [h for h in range(len(delta)) if h != j]
+        full = math.prod(corner[h] - delta[h] + 1 for h in others)
+        counts = Counter(v[j] for v in members if all(v[h] >= delta[h] for h in others))
+        while delta[j] and counts[delta[j] - 1] == full:
+            delta[j] -= 1
+    return GoodSemigroup._of(tuple(delta), [v for v in members if all(map(le, v, delta))])
+
+
+def branches_and_splits_oracle(S):
+    """The multiplicity sequences of the projections of S, and split(j, h)
+    for j < h: the first level l with a member whose coordinates j, h are
+    min(P_j(l+2), delta_j), min(P_h(l+1), delta_h), P the prefix sums, so
+    that the plane projection on j, h has (P_j(l+2), P_h(l+1)); else -1."""
+    branches = [semigroup_to_seq(projection(S, j + 1)) for j in range(S.d)]
+    at = [{} for _ in branches]  # at[j][x]: indices of the members with v_j = x
+    for i, v in enumerate(S.small_elements):
+        for j, x in enumerate(v):
+            at[j].setdefault(x, set()).add(i)
+
+    def members(k, level):
+        return at[k].get(min(branches[k].prefix_sum(level), S.conductor[k]), set())
+
+    @cache
+    def split(j, h):  # P(l) >= l, so from l = max(delta_j, delta_h) on the test is the same
+        return next((level for level in range(max(S.conductor[j], S.conductor[h]) + 1)
+                     if not members(j, level + 2).isdisjoint(members(h, level + 1))), -1)
+
+    return branches, split
+
+
+def canonical_form_entry_oracle(T):
+    """Minimal representative under branch permutation, plus the witnessing
+    permutation p (1-based: canonical branch i is original branch p[i-1]).
+
+    Only permutations that keep every glued group an interval are admissible;
+    among those, the lexicographically smallest level-major serialization of
+    the node vectors wins, with the permutation itself as tie break.  Each
+    glued group sorts its children: x goes first iff x_L + y_L < y_L + x_L
+    at the first level L where the two differ, else iff its permutation is
+    smaller.  Swapping adjacent children out of that order lowers the
+    serialization, so the sorted order is the minimum.
+    """
+    top = T.stable_level
+
+    def form(level, group):
+        # rows[L]: the group's entries inside an ancestor's node for L < level,
+        # then its node vectors; perm: its branches in canonical order
+        if len(group) == 1:
+            last = top
+            children = [([(T.branches[group[0]].entry(L),) for L in range(top + 1)],
+                         tuple(group))]
+        else:
+            last = min(T.splits[group[0]:group[-1]])
+            children = sorted((form(last + 1, child) for child in T.groups(last + 1)
+                               if child[0] in group), key=cmp_to_key(_sibling_order))
+        rows = [sum((sub[L] for sub, _ in children), ()) for L in range(top + 1)]
+        return ([(row,) if level <= L <= last else row for L, row in enumerate(rows)],
+                sum((perm for _, perm in children), ()))
+
+    _, perm = form(0, range(T.d))
+    splits = [T.pair_split(perm[i], perm[i + 1]) for i in range(T.d - 1)]
+    tree = MultiplicityTree([T.branches[p] for p in perm], splits, validate=False)
+    return tree, tuple(p + 1 for p in perm)
+
+
+def good_mutants(S, cells):
+    """The good semigroups with minimal conductor that differ from S in one
+    of the given cells of its conductor box, 0 and the conductor kept."""
+    out = []
+    for v in cells:
+        if v in ((0,) * S.d, S.conductor):
+            continue
+        try:
+            out.append(GoodSemigroup(S.d, S.conductor, set(S.small_elements) ^ {v}))
+        except ValidationError:
+            continue
+    return out

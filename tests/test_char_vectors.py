@@ -1,10 +1,12 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arfcurves import char_vectors, mult_tree
+from arfcurves import char_vectors, good_semigroup, mult_tree
 from arfcurves.char_vectors import (CharacterVectorSet, build_character_vectors,
                                     charset_from_dict, charset_to_dict,
                                     is_minimal_character_set, reduce_characters,
@@ -14,7 +16,10 @@ from arfcurves.good_semigroup import GoodSemigroup
 from arfcurves.mult_tree import MultiplicityTree, tree_to_semigroup
 from arfcurves.numerical import NumericalSemigroup
 
-from helpers import enumerate_smallest_arf, is_minimal_character_set_oracle, random_tree
+from helpers import (TWELVE, arf_good_oracle, build_character_vectors_oracle,
+                     enumerate_smallest_arf, good_mutants, is_minimal_character_set_oracle,
+                     is_minimal_character_set_rebuild_oracle, random_tree,
+                     reduce_characters_oracle, smallest_arf_containing_oracle)
 
 EX1 = GoodSemigroup(2, (8, 4), [(0, 0), (4, 2), (6, 4), (8, 4)])
 EX2 = GoodSemigroup(2, (4, 6), [(0, 0), (2, 3), (3, 5), (4, 6)])
@@ -208,3 +213,114 @@ def test_smallest_arf_matches_enumeration_random(seed):
         return
     assert computed == enumerate_smallest_arf(V.vectors)
     assert all(computed.contains(v) for v in V)
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def _fuzz_semigroups(rng):
+    """Tree semigroups with d <= 6 as built and shuffled, the twelve-branch
+    one as built and shuffled, and good local mutants that are not Arf."""
+    twelve = tree_to_semigroup(TWELVE)
+    cases = [twelve, good_semigroup._project(twelve, rng.sample(range(12), 12))]
+    for _ in range(60):
+        S = tree_to_semigroup(random_tree(rng, d_max=6, max_len=3, max_entry=4, split_max=3))
+        cases += [S, good_semigroup._project(S, rng.sample(range(S.d), S.d))]
+    mutants = []
+    while len(mutants) < 30:
+        S = tree_to_semigroup(random_tree(rng, d_max=3, max_len=3, max_entry=4, split_max=2))
+        box = itertools.product(*(range(c + 1) for c in S.conductor))
+        mutants += [M for M in good_mutants(S, box)
+                    if S.d > 1 and good_semigroup.is_local(M) and not arf_good_oracle(M)]
+    return cases + mutants
+
+
+def _fuzz_vector_sets(rng, S, count):
+    """The built vectors of S when it has them, and random subsets of its
+    members, the built vectors and a vector past the conductor, some with
+    a vector that has a zero coordinate."""
+    pool = [v for v in S.small_elements if all(v)]
+    built = _outcome(build_character_vectors, S)
+    if isinstance(built, CharacterVectorSet):
+        yield built
+        pool += list(built)
+    pool.append(tuple(c + rng.randint(1, 3) for c in S.conductor))
+    for _ in range(count):
+        vectors = rng.sample(pool, min(len(pool), rng.randint(1, 5)))
+        if rng.random() < 0.2:
+            zero = list(rng.choice(pool))
+            zero[rng.randrange(S.d)] = 0
+            vectors.append(zero)
+        yield CharacterVectorSet(S.d, vectors)
+
+
+def test_character_sets_match_the_semigroup_rebuild_oracles():
+    # deciding "V determines S" on trees gives the results, exception types
+    # and messages of rebuilding smallest_arf_containing(V) and comparing it
+    # with S, on sets that determine S and sets that do not
+    rng = random.Random(22)
+    seen = set()
+    for S in _fuzz_semigroups(rng):
+        for witness in (None, (rng.randint(0, 4), rng.randint(1, S.d))):
+            built = _outcome(build_character_vectors, S, witness_node=witness)
+            assert built == _outcome(build_character_vectors_oracle, S, witness_node=witness), S
+        for V in _fuzz_vector_sets(rng, S, 2 if S.d == 12 else 6):
+            closure = _outcome(smallest_arf_containing, V)
+            assert closure == _outcome(smallest_arf_containing_oracle, V), (V, S)
+            reduced = _outcome(reduce_characters, V, S)
+            assert reduced == _outcome(reduce_characters_oracle, V, S), (V, S)
+            minimal = is_minimal_character_set(V, S)
+            assert minimal == is_minimal_character_set_rebuild_oracle(V, S), (V, S)
+            seen.add((closure == S, isinstance(reduced, CharacterVectorSet)
+                      and reduced != V, minimal, isinstance(closure, tuple)))
+    # determining sets that shrink or are minimal, sets that do not determine
+    # S, and sets whose closure raises
+    assert {(True, True, False), (True, False, True), (False, False, False)} <= {
+        key[:3] for key in seen}, seen
+    assert any(key[3] for key in seen), seen
+
+
+def test_reduce_builds_at_most_one_semigroup(monkeypatch):
+    # S is read once, with one tree_to_semigroup check per order it is read
+    # in, and each trial compares closure trees; building the closure
+    # semigroup of every trial took one call per vector tried.  A shuffled S
+    # may be read in coordinate order and then in glued order: two checks
+    rng = random.Random(4)
+    cases = [tree_to_semigroup(TWELVE)] + [
+        tree_to_semigroup(random_tree(rng, d_max=6, max_len=3, split_max=3))
+        for _ in range(40)]
+    cases = [(build_character_vectors(S), S, 1) for S in cases]
+    cases += [(V, good_semigroup._project(S, rng.sample(range(S.d), S.d)), 2)
+              for V, S, _ in cases[:10]]
+    calls = []
+    build = mult_tree.tree_to_semigroup
+
+    def counting(T):
+        calls.append(T)
+        return build(T)
+
+    monkeypatch.setattr(mult_tree, "tree_to_semigroup", counting)
+    monkeypatch.setattr(char_vectors, "tree_to_semigroup", counting)
+    for V, S, reads in cases:
+        calls.clear()
+        _outcome(reduce_characters, V, S)
+        assert len(calls) <= reads, (len(V), len(calls))
+    assert max(len(V) for V, _, _ in cases) >= 8
+
+
+def test_reduce_time_follows_the_tree():
+    # the twelve-branch semigroup has 2,593 members, its tree 12 smooth
+    # branches and 11 splits.  Comparing closure trees takes about 0.013 s;
+    # building and comparing the closure semigroup of each trial took about
+    # 0.064 s (best of 5, 2 cores, CPython 3.11.7)
+    S = tree_to_semigroup(TWELVE)
+    V = build_character_vectors(S)
+    start = time.perf_counter()
+    reduced = reduce_characters(V, S)
+    elapsed = time.perf_counter() - start
+    assert smallest_arf_containing(reduced) == S
+    assert elapsed < 0.1

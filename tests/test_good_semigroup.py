@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from collections import Counter
+from operator import ge
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from arfcurves.errors import DomainError, ValidationError
 from arfcurves.good_semigroup import (
     GoodSemigroup,
     _additive_generators,
+    _boxed,
     _meet_irreducibles,
     fine_multiplicity,
     good_from_dict,
@@ -24,8 +26,8 @@ from arfcurves.good_semigroup import (
 )
 from arfcurves.mult_tree import MultiplicityTree, tree_to_semigroup
 from arfcurves.numerical import NumericalSemigroup, arf_closure, seq_to_semigroup
-from helpers import (arf_good_oracle, from_member_grid, good_axioms_oracle, random_arf_sequence,
-                     random_tree)
+from helpers import (arf_good_oracle, boxed_oracle, from_member_grid, good_axioms_oracle,
+                     random_arf_sequence, random_tree)
 
 # Two branches: {(0,0),(4,2)} with the column (6,n) n>=4 and (8,4)+N^2.
 EX1 = GoodSemigroup(2, (8, 4), [(0, 0), (4, 2), (6, 4), (8, 4)])
@@ -198,6 +200,32 @@ def test_residues_and_plane_projections_match_grids(rng):
         for v in S.small_elements:
             grid[v[j - 1], v[h - 1]] = True
         assert plane_projection(S, j, h) == from_member_grid(grid)
+
+
+def test_conductor_drop_matches_the_slab_count_oracle():
+    # a coordinate whose delta - e_j is missing keeps its conductor with no
+    # slab counted; on projections, residues and dense random member sets the
+    # result is that of counting every slab
+    rng = random.Random(25)
+    inputs = []
+    for _ in range(80):
+        S = tree_to_semigroup(random_tree(rng, d_max=4, max_len=3, max_entry=4))
+        coords = rng.sample(range(S.d), rng.randint(1, S.d))
+        inputs.append((tuple(S.conductor[j] for j in coords),
+                       {tuple(v[j] for j in coords) for v in S.small_elements}))
+        alpha = rng.choice(S.small_elements)
+        inputs.append((tuple(c - a for c, a in zip(S.conductor, alpha)),
+                       {tuple(x - a for x, a in zip(v, alpha))
+                        for v in S.small_elements if all(map(ge, v, alpha))}))
+        corner = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 3)))
+        box = itertools.product(*(range(c + 1) for c in corner))
+        inputs.append((corner, {v for v in box if rng.random() < 0.85}))
+    dropped = 0
+    for corner, members in inputs:
+        boxed = _boxed(corner, members)
+        assert boxed == boxed_oracle(corner, members), (corner, members)
+        dropped += boxed.conductor != corner
+    assert 30 <= dropped <= len(inputs) - 30, dropped
 
 
 def test_projection_examples():

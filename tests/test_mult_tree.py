@@ -19,9 +19,11 @@ from arfcurves.mult_tree import (MAX_TREE_MEMBERS, MultiplicityTree, _branches_a
                                  tree_to_semigroup, validate_tree)
 from arfcurves.numerical import MultiplicitySequence, NumericalSemigroup, decomposition_lengths
 
-from helpers import (arf_good_oracle, canonical_form_oracle, condition_c_oracle,
-                     decomposition_lengths_oracle, glued_order_oracle, random_arf_sequence,
-                     random_tree, tree_semigroup_oracle)
+from helpers import (TWELVE, arf_good_oracle, branches_and_splits_oracle,
+                     canonical_form_entry_oracle, canonical_form_oracle, condition_c_oracle,
+                     decomposition_lengths_oracle, glued_order_oracle, good_mutants,
+                     node_path_sum_oracle, random_arf_sequence, random_tree,
+                     tree_semigroup_oracle)
 
 # Two branches of multiplicity 2 glued one level past the root.
 T_PAIR = MultiplicityTree([[2], [2]], splits=(1,))
@@ -36,8 +38,6 @@ T_SPLIT2 = MultiplicityTree(E_PAIR, splits=(2,))
 T_SPLIT3 = MultiplicityTree(E_PAIR, splits=(3,))
 
 EX1 = GoodSemigroup(2, (8, 4), [(0, 0), (4, 2), (6, 4), (8, 4)])
-# Twelve smooth branches with 2,593 small elements.
-TWELVE = MultiplicityTree([[1]] * 12, splits=(3, 0, 5, 1, 4, 2, 6, 0, 2, 7, 1))
 
 
 def test_validate_examples():
@@ -200,6 +200,44 @@ def test_glued_order_matches_the_oracle():
         assert _glued_order(12, _branches_and_splits(S)[1]) == glued_order_oracle(S)
 
 
+def _read(read, S):
+    """Branches and every pair split of S, or the type and message raised."""
+    try:
+        branches, split = read(S)
+        return branches, [split(j, h) for j, h in itertools.combinations(range(S.d), 2)]
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_branches_and_splits_match_the_projection_oracle():
+    # the branches come from the member index, not one projection per coordinate:
+    # tree semigroups with d <= 6 as built and shuffled, the twelve-branch one,
+    # and good mutants of small ones, whose projections need not be Arf
+    rng = random.Random(22)
+    cases = [tree_to_semigroup(TWELVE)]
+    cases.append(good_semigroup._project(cases[0], rng.sample(range(12), 12)))
+    for _ in range(150):
+        S = tree_to_semigroup(random_tree(rng, d_max=6, max_len=3, max_entry=4, split_max=3))
+        cases += [S, good_semigroup._project(S, rng.sample(range(S.d), S.d))]
+        if S.d <= 3 and len(S.small_elements) <= 40:
+            box = list(itertools.product(*(range(c + 1) for c in S.conductor)))
+            cases += good_mutants(S, rng.sample(box, min(len(box), 12)))
+    failed = 0
+    for S in cases:
+        outcome = _read(_branches_and_splits, S)
+        assert outcome == _read(branches_and_splits_oracle, S), S
+        failed += outcome[0] is ValidationError
+    assert failed >= 10 and len(cases) - failed >= 300, (failed, len(cases))
+
+
+def test_node_path_sum_matches_the_pair_split_oracle():
+    rng = random.Random(23)
+    for T in [TWELVE] + [random_tree(rng, d_max=8, split_max=5) for _ in range(100)]:
+        for j in range(1, T.d + 1):
+            for level in range(T.stable_level + 2):
+                assert node_path_sum(T, j, level) == node_path_sum_oracle(T, j, level)
+
+
 def test_a_semigroup_in_glued_order_is_read_once(monkeypatch):
     # is_arf_good and semigroup_to_tree build one tree and no plane tree:
     # no projection onto two coordinates, nested semigroup_to_tree or glued order
@@ -345,6 +383,25 @@ def test_canonical_form_matches_permutation_scan():
     assert {tree.d for tree in trees} == {1, 2, 3, 4, 5, 6}
     for tree in trees:
         assert canonical_form(tree) == canonical_form_oracle(tree), tree
+
+
+def test_canonical_form_matches_the_entry_oracle():
+    # leaf rows padded from the prefix and levels joined in one pass give the
+    # (tree, perm) of the form that read entry() per level and summed tuples,
+    # up to twelve branches drawn from a small pool so that siblings tie
+    rng = random.Random(24)
+    trees = [TWELVE]
+    while len(trees) < 400:
+        pool = [random_arf_sequence(rng, 3, 5) for _ in range(rng.randint(1, 3))]
+        d = rng.randint(1, 12)
+        try:
+            trees.append(MultiplicityTree([rng.choice(pool) for _ in range(d)],
+                                          [rng.randint(0, 3) for _ in range(d - 1)]))
+        except ValidationError:
+            continue
+    assert max(tree.d for tree in trees) == 12
+    for tree in trees:
+        assert canonical_form(tree) == canonical_form_entry_oracle(tree), tree
 
 
 def _glued_shuffle(rng, tree, group):

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -39,6 +40,19 @@ def test_seq_to_semigroup_trivial():
 
 def test_seq_to_semigroup_4_2_2():
     assert seq_to_semigroup(MultiplicitySequence([4, 2, 2])) == S(8, [0, 4, 6])
+
+
+def test_prefix_sums_and_indices_match_the_linear_scans():
+    # prefix_sum is one lookup in the kept sums and index_of one bisection
+    rng = random.Random(26)
+    for seq in [MultiplicitySequence([])] + [random_arf_sequence(rng, 6, 12) for _ in range(300)]:
+        for n in range(len(seq.prefix) + 4):
+            assert seq.prefix_sum(n) == sum(seq.prefix[:n]) + max(0, n - len(seq.prefix))
+        for value in range(-1, seq.prefix_sum(len(seq.prefix) + 3)):
+            k = 0
+            while seq.prefix_sum(k + 1) < value:
+                k += 1
+            assert seq.index_of(value) == k, (seq, value)
 
 
 def test_invalid_sequence_names_index():
