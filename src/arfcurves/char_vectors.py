@@ -19,7 +19,7 @@ from functools import cache
 from .errors import DomainError, ValidationError, echo, literal_int, literal_ints, literal_list
 from .mult_tree import (MultiplicityTree, _condition_c_failure, node_path_sum,
                         semigroup_to_tree, tree_to_semigroup)
-from .numerical import arf_closure, characters_of_seq, semigroup_to_seq
+from .numerical import _closure_seq, characters_of_seq
 
 
 class CharacterVectorSet:
@@ -177,7 +177,7 @@ def _closure_tree(d, vectors, closures):
     for j in range(d):
         values = frozenset(v[j] for v in vectors)
         if values not in closures:
-            closures[values] = semigroup_to_seq(arf_closure(values))
+            closures[values] = _closure_seq(values)
         branches.append(closures[values])
     indices = [tuple(seq.index_of(x) for seq, x in zip(branches, v)) for v in vectors]
     N = max(max(m) for m in indices) + 1

@@ -15,11 +15,11 @@ and projections are read off the members, and Arf-ness off the trees of
 the local factors, which mult_tree reads off their members (is_arf_good).
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
-from itertools import compress
+from functools import cache, reduce
 from math import prod
-from operator import add, ge, le, ne
+from operator import add, ge, le, or_
 
 from .errors import DomainError, ValidationError, echo, literal_int, literal_ints, literal_list
 from .numerical import NumericalSemigroup
@@ -92,24 +92,41 @@ def _additive_generators(conductor, small, members):
     return done
 
 
+def _lift_gaps(conductor, m, irreducibles, index):
+    """The E_p(m) of _axiom_failure as coordinate bit masks, and whether the
+    lift holds at m.  `index` lists positions in `irreducibles` by (i, g_i)."""
+    below = [i for i, (x, c) in enumerate(zip(m, conductor)) if x < c]
+    ties = {}  # irreducible -> the coordinates below delta where it equals m
+    for i in below:
+        for k in index[i, m[i]]:
+            ties[k] = ties.get(k, 0) | 1 << i
+    ties = [t for k, t in ties.items() if all(map(ge, irreducibles[k], m))]
+    gaps, free = [0] * len(m), sum(1 << i for i in below)
+    for p in below:  # c_p(m) equals m where an irreducible >= m with g_p > m_p does
+        gaps[p] = free & ~reduce(or_, (t for t in ties if not t >> p & 1), 0)
+    return gaps, not any(gaps[p] & ~t for t in ties for p in below if t >> p & 1)
+
+
 def _axiom_failure(d, conductor, small):
     """First violated good-semigroup axiom as a message, or None.
 
-    Min and capped-sum closure are decided from the meet-irreducible members
-    and the additive generators alone.  Only when one fails are pairs of the
-    sorted members scanned in order, each one set lookup (i < j for min,
-    i <= j for the sum), to name the first failing pair.
+    Min and capped-sum closure are decided from the meet-irreducibles and
+    the additive generators, the lift at each member from the irreducibles;
+    only a failure scans the sorted pairs in order, to name the first one.
 
-    The lift scans pairs (i < j, pivot).  Under the cap rule the lifting
-    witnesses for a and b at a pivot p where they agree are the members u
-    that equal m = min(a, b) where a and b differ and are >= m elsewhere,
-    with u_p >= min(a_p + 1, delta_p), since a witness above the conductor
-    caps down to delta_p.  So the condition depends on (m, where a and b
-    differ) alone, and witnesses are searched once per such key: a key
-    that has passed is skipped.  Members are bucketed by their values where
-    a and b differ, keeping the maximal ones, which suffice.  Only pairs
-    that agree somewhere are visited, through an index of the members by
-    coordinate value.
+    Lift witnesses for a, b at a pivot p where they agree are the members
+    u >= m = min(a, b) equal to m where a and b differ, with u_p >=
+    min(m_p + 1, delta_p) under the cap rule.  Under (1), the min of
+    witnesses for (m, a) and (m, b) is one for (a, b), so pairs m < a
+    suffice.  Their witnesses are min-closed, so one exists iff c_p(m), the
+    least member >= min(m + e_p, delta), is one: iff a = m on E_p(m), where
+    c_p(m) > m.  As every member is the min of the irreducibles above it,
+    c_p(m) is the min of the irreducibles g >= m with g_p > m_p.  If a >= m
+    with a_p = m_p exceeds m in E_p(m), so does the irreducible g >= a with
+    g_p = m_p that a's min-decomposition has.  So only irreducibles above m
+    equal to m somewhere below delta are read, through an index by
+    (coordinate, value).  At d = 1 no two members agree and differ.  A pair
+    (a, b) fails at p iff a_p = b_p and a, b differ in E_p(min(a, b)).
     """
     members = frozenset(small)
     if (0,) * d not in members:
@@ -119,7 +136,8 @@ def _axiom_failure(d, conductor, small):
     for v in small:
         if any(x > c for x, c in zip(v, conductor)):
             return "element %s lies outside the conductor box" % echo(list(v))
-    if _meet_irreducibles(d, small, members) is None:
+    irreducibles = _meet_irreducibles(d, small, members)
+    if irreducibles is None:
         for i, a in enumerate(small):
             for b in small[i + 1:]:
                 if tuple(map(min, a, b)) not in members:
@@ -129,41 +147,20 @@ def _axiom_failure(d, conductor, small):
             for b in small[i:]:
                 if tuple(map(min, map(add, a, b), conductor)) not in members:
                     return "not closed under addition: %r + %r is missing" % (list(a), list(b))
-    by_value = {}
-    for k, v in enumerate(small):
-        for c, x in enumerate(v):
-            by_value.setdefault((c, x), []).append(k)
-    buckets = {}  # where members differ -> {values there: maximal members}
-    passed = set()
+    index = {}
+    for k, g in enumerate(irreducibles):
+        for key in enumerate(g):
+            index.setdefault(key, []).append(k)
+    if d == 1 or all(_lift_gaps(conductor, m, irreducibles, index)[1] for m in small):
+        return None
+    gaps = cache(lambda m: _lift_gaps(conductor, m, irreducibles, index)[0])
     for i, a in enumerate(small):
-        partners = set()
-        for c, x in enumerate(a):
-            same = by_value[c, x]
-            partners.update(same[bisect_right(same, i):])
-        for j in sorted(partners):
-            b = small[j]
-            m = tuple(map(min, a, b))
-            differ = tuple(map(ne, a, b))
-            if (m, differ) in passed:
-                continue
-            bucket = buckets.get(differ)
-            if bucket is None:
-                bucket = buckets[differ] = {}
-                # in descending order, a member comes after all that dominate it
-                for u in reversed(small):
-                    top = bucket.setdefault(tuple(compress(u, differ)), [])
-                    if not any(all(map(ge, w, u)) for w in top):
-                        top.append(u)
-            top = bucket[tuple(compress(m, differ))]
+        for b in small[i + 1:]:
             for p in range(d):
-                if differ[p]:
-                    continue
-                q = m[:p] + (min(a[p] + 1, conductor[p]),) + m[p + 1:]
-                if not any(all(map(ge, u, q)) for u in top):
+                if a[p] == b[p] and gaps(tuple(map(min, a, b)))[p] & sum(
+                        1 << c for c in range(d) if a[c] != b[c]):
                     return "property (2) fails at alpha=%r, beta=%r, coordinate %d" % (
                         list(a), list(b), p + 1)
-            passed.add((m, differ))
-    return None
 
 
 def is_good(d, conductor, small_elements):

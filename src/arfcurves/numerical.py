@@ -212,7 +212,12 @@ def is_arf(S):
 
 
 def arf_closure(generators):
-    """Smallest Arf semigroup containing the generators (gcd must be 1).
+    """Smallest Arf semigroup containing the generators (gcd must be 1)."""
+    return seq_to_semigroup(_closure_seq(generators))
+
+
+def _closure_seq(generators):
+    """Multiplicity sequence of arf_closure(generators).
 
     Uses the blowup recursion: strip the multiplicity e_0 = min(G \\ {0}),
     shift the rest down by e_0, re-adjoin e_0, and repeat until 1 appears.
@@ -228,9 +233,7 @@ def arf_closure(generators):
     g = gcd(*gens)
     if g != 1:
         raise DomainError("gcd of generators is %d, not 1; the complement would be infinite" % g)
-    prefix = []
-    conductor = 0
-    current = gens
+    prefix, conductor, current = [], 0, gens
     while 1 not in current:
         e0 = min(current)
         prefix.append(e0)
@@ -238,7 +241,7 @@ def arf_closure(generators):
         if conductor > MAX_CONDUCTOR:
             raise DomainError("the conductor exceeds the limit of %d" % MAX_CONDUCTOR)
         current = {x - e0 for x in current if x > e0} | {e0}
-    return seq_to_semigroup(MultiplicitySequence(prefix))
+    return MultiplicitySequence(prefix)
 
 
 def decomposition_lengths(seq):

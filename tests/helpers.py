@@ -3,13 +3,13 @@
 import itertools
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache, cmp_to_key
-from itertools import combinations
+from itertools import combinations, compress
 from math import inf
-from operator import le
+from operator import add, ge, le, ne
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from arfcurves import branch_ring
 from arfcurves.char_vectors import (CharacterVectorSet, _max_valid_splits,
                                     _minimal_member_with_coordinate, smallest_arf_containing)
 from arfcurves.errors import DomainError, InputError, TruncationError, ValidationError, echo
-from arfcurves.good_semigroup import GoodSemigroup, _boxed, _project, projection
+from arfcurves.good_semigroup import (GoodSemigroup, _additive_generators, _boxed,
+                                      _meet_irreducibles, _project, projection)
 from arfcurves.mult_tree import (MultiplicityTree, _sibling_order, semigroup_to_tree,
                                  tree_intersection, tree_to_semigroup)
 from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_closure,
@@ -355,6 +356,101 @@ def good_axioms_oracle(d, conductor, small):
                         list(a), list(b), pivot + 1)
     return None
 
+
+# The axiom check whose lift searched witnesses once per key (min(a, b), where
+# a and b differ) over maximal-member buckets, word for word, as the oracle
+# of `_axiom_failure`, whose lift is decided at each member from the
+# meet-irreducibles.
+
+def axiom_failure_by_keys_oracle(d, conductor, small):
+    """First violated good-semigroup axiom as a message, or None.
+
+    Min and capped-sum closure are decided from the meet-irreducible members
+    and the additive generators alone.  Only when one fails are pairs of the
+    sorted members scanned in order, each one set lookup (i < j for min,
+    i <= j for the sum), to name the first failing pair.
+
+    The lift scans pairs (i < j, pivot).  Under the cap rule the lifting
+    witnesses for a and b at a pivot p where they agree are the members u
+    that equal m = min(a, b) where a and b differ and are >= m elsewhere,
+    with u_p >= min(a_p + 1, delta_p), since a witness above the conductor
+    caps down to delta_p.  So the condition depends on (m, where a and b
+    differ) alone, and witnesses are searched once per such key: a key
+    that has passed is skipped.  Members are bucketed by their values where
+    a and b differ, keeping the maximal ones, which suffice.  Only pairs
+    that agree somewhere are visited, through an index of the members by
+    coordinate value.
+    """
+    members = frozenset(small)
+    if (0,) * d not in members:
+        return "0 must be a member"
+    if conductor not in members:
+        return "the conductor must be a member"
+    for v in small:
+        if any(x > c for x, c in zip(v, conductor)):
+            return "element %s lies outside the conductor box" % echo(list(v))
+    if _meet_irreducibles(d, small, members) is None:
+        for i, a in enumerate(small):
+            for b in small[i + 1:]:
+                if tuple(map(min, a, b)) not in members:
+                    return "property (1) fails: min(%r, %r) is missing" % (list(a), list(b))
+    if _additive_generators(conductor, small, members) is None:
+        for i, a in enumerate(small):
+            for b in small[i:]:
+                if tuple(map(min, map(add, a, b), conductor)) not in members:
+                    return "not closed under addition: %r + %r is missing" % (list(a), list(b))
+    by_value = {}
+    for k, v in enumerate(small):
+        for c, x in enumerate(v):
+            by_value.setdefault((c, x), []).append(k)
+    buckets = {}  # where members differ -> {values there: maximal members}
+    passed = set()
+    for i, a in enumerate(small):
+        partners = set()
+        for c, x in enumerate(a):
+            same = by_value[c, x]
+            partners.update(same[bisect_right(same, i):])
+        for j in sorted(partners):
+            b = small[j]
+            m = tuple(map(min, a, b))
+            differ = tuple(map(ne, a, b))
+            if (m, differ) in passed:
+                continue
+            bucket = buckets.get(differ)
+            if bucket is None:
+                bucket = buckets[differ] = {}
+                # in descending order, a member comes after all that dominate it
+                for u in reversed(small):
+                    top = bucket.setdefault(tuple(compress(u, differ)), [])
+                    if not any(all(map(ge, w, u)) for w in top):
+                        top.append(u)
+            top = bucket[tuple(compress(m, differ))]
+            for p in range(d):
+                if differ[p]:
+                    continue
+                q = m[:p] + (min(a[p] + 1, conductor[p]),) + m[p + 1:]
+                if not any(all(map(ge, u, q)) for u in top):
+                    return "property (2) fails at alpha=%r, beta=%r, coordinate %d" % (
+                        list(a), list(b), p + 1)
+            passed.add((m, differ))
+    return None
+
+def min_sum_closure(conductor, seeds):
+    """The vectors of the box [0, conductor] reached from 0, the conductor
+    and the seeds by componentwise min and capped sum: candidates that pass
+    (1) and the sum, and so reach the lift."""
+    d = len(conductor)
+    members = {(0,) * d, tuple(conductor), *map(tuple, seeds)}
+    fresh = set(members)
+    while fresh:
+        found = set()
+        for a in fresh:
+            for b in list(members):
+                found.add(tuple(map(min, a, b)))
+                found.add(tuple(min(x + y, c) for x, y, c in zip(a, b, conductor)))
+        fresh = found - members
+        members |= fresh
+    return members
 
 # The value-set pass on SeriesTuple rows that the flat integer rows of
 # `branch_ring` replaced, word for word, as the oracle of `_span` and
