@@ -44,7 +44,7 @@ def _meet_irreducibles(d, small, members):
     induction in that order every member is the min of the irreducibles
     above it, so the min of two members is a fold over irreducibles, and
     min(m, S) inside S for each irreducible m keeps every step in S.  For
-    d = 1 the members form a chain, so none is missing.
+    d = 1 the members form a chain: none is missing, and all are irreducible.
     """
     if d == 1:
         return list(small)
@@ -60,35 +60,6 @@ def _meet_irreducibles(d, small, members):
                 return None
             if low != s and low != m:
                 meets.add(low)
-    return done
-
-
-def _additive_generators(conductor, small, members):
-    """The additive generators of sorted `small`, or None when a capped sum
-    of two members is missing.
-
-    In ascending order, a nonzero member not yet recorded as an exact sum
-    g + s is a generator g: cap(g + s) = min(g + s, conductor) is checked
-    for every member s, skipping the generators already done, and g + s is
-    recorded when no coordinate is capped.  This suffices.  Every member is
-    an exact sum of generators, and capped addition is associative,
-    cap(cap(x) + y) = cap(x + y) for y >= 0, so g + S inside S for each
-    generator g gives S + S inside S.  A capped sum is not recorded:
-    x = cap(g + x) would make x its own summand.
-    """
-    sums, done, rest = set(), [], list(small)
-    for g in small:
-        if g in sums or not any(g):
-            continue
-        done.append(g)
-        for s in rest:
-            total = tuple(map(add, g, s))
-            capped = tuple(map(min, total, conductor))
-            if capped not in members:
-                return None
-            if capped == total:
-                sums.add(total)
-        del rest[bisect_left(rest, g)]
     return done
 
 
@@ -110,9 +81,12 @@ def _lift_gaps(conductor, m, irreducibles, index):
 def _axiom_failure(d, conductor, small):
     """First violated good-semigroup axiom as a message, or None.
 
-    Min and capped-sum closure are decided from the meet-irreducibles and
-    the additive generators, the lift at each member from the irreducibles;
-    only a failure scans the sorted pairs in order, to name the first one.
+    All three axioms are decided from the meet-irreducibles; only a failure
+    scans the sorted pairs in order, to name the first one.  A failing min
+    is always named, so past (1) each member is the min of the irreducibles
+    above it.  Addition and the cap min(x, delta) distribute over
+    componentwise min, so cap(a + b) is the min of the cap(g + h) over
+    irreducibles g >= a, h >= b: S + S lies in S iff each of those is.
 
     Lift witnesses for a, b at a pivot p where they agree are the members
     u >= m = min(a, b) equal to m where a and b differ, with u_p >=
@@ -120,13 +94,15 @@ def _axiom_failure(d, conductor, small):
     witnesses for (m, a) and (m, b) is one for (a, b), so pairs m < a
     suffice.  Their witnesses are min-closed, so one exists iff c_p(m), the
     least member >= min(m + e_p, delta), is one: iff a = m on E_p(m), where
-    c_p(m) > m.  As every member is the min of the irreducibles above it,
-    c_p(m) is the min of the irreducibles g >= m with g_p > m_p.  If a >= m
-    with a_p = m_p exceeds m in E_p(m), so does the irreducible g >= a with
-    g_p = m_p that a's min-decomposition has.  So only irreducibles above m
-    equal to m somewhere below delta are read, through an index by
-    (coordinate, value).  At d = 1 no two members agree and differ.  A pair
-    (a, b) fails at p iff a_p = b_p and a, b differ in E_p(min(a, b)).
+    c_p(m) > m.  c_p(m) is the min of the irreducibles g >= m with g_p >
+    m_p.  If a >= m with a_p = m_p exceeds m in E_p(m), so does the
+    irreducible g >= a with g_p = m_p that a's min-decomposition has.  So
+    only irreducibles above m equal to m somewhere below delta are read,
+    through an index by (coordinate, value).  At d = 1 no two members agree
+    and differ, so every member passes.  A pair (a, b) fails at p iff a_p =
+    b_p and a, b differ in E_p(min(a, b)); then min(a, b) fails, and it is
+    <= a componentwise, so also in sorted order: the naming scan starts at
+    the first failing member.
     """
     members = frozenset(small)
     if (0,) * d not in members:
@@ -142,19 +118,23 @@ def _axiom_failure(d, conductor, small):
             for b in small[i + 1:]:
                 if tuple(map(min, a, b)) not in members:
                     return "property (1) fails: min(%r, %r) is missing" % (list(a), list(b))
-    if _additive_generators(conductor, small, members) is None:
+    capped_sum = lambda a, b: tuple(map(min, map(add, a, b), conductor))
+    if any(capped_sum(g, h) not in members for i, g in enumerate(irreducibles)
+           for h in irreducibles[i:]):
         for i, a in enumerate(small):
             for b in small[i:]:
-                if tuple(map(min, map(add, a, b), conductor)) not in members:
+                if capped_sum(a, b) not in members:
                     return "not closed under addition: %r + %r is missing" % (list(a), list(b))
     index = {}
     for k, g in enumerate(irreducibles):
         for key in enumerate(g):
             index.setdefault(key, []).append(k)
-    if d == 1 or all(_lift_gaps(conductor, m, irreducibles, index)[1] for m in small):
+    first = next((i for i, m in enumerate(small)
+                  if not _lift_gaps(conductor, m, irreducibles, index)[1]), None)
+    if first is None:
         return None
     gaps = cache(lambda m: _lift_gaps(conductor, m, irreducibles, index)[0])
-    for i, a in enumerate(small):
+    for i, a in enumerate(small[first:], first):
         for b in small[i + 1:]:
             for p in range(d):
                 if a[p] == b[p] and gaps(tuple(map(min, a, b)))[p] & sum(

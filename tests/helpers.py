@@ -17,8 +17,8 @@ from arfcurves import branch_ring
 from arfcurves.char_vectors import (CharacterVectorSet, _max_valid_splits,
                                     _minimal_member_with_coordinate, smallest_arf_containing)
 from arfcurves.errors import DomainError, InputError, TruncationError, ValidationError, echo
-from arfcurves.good_semigroup import (GoodSemigroup, _additive_generators, _boxed,
-                                      _meet_irreducibles, _project, projection)
+from arfcurves.good_semigroup import (GoodSemigroup, _boxed, _meet_irreducibles, _project,
+                                      projection)
 from arfcurves.mult_tree import (MultiplicityTree, _sibling_order, semigroup_to_tree,
                                  tree_intersection, tree_to_semigroup)
 from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_closure,
@@ -357,10 +357,41 @@ def good_axioms_oracle(d, conductor, small):
     return None
 
 
-# The axiom check whose lift searched witnesses once per key (min(a, b), where
-# a and b differ) over maximal-member buckets, word for word, as the oracle
-# of `_axiom_failure`, whose lift is decided at each member from the
-# meet-irreducibles.
+# The axiom check whose capped-sum closure walked the additive generators and
+# whose lift searched witnesses once per key (min(a, b), where a and b
+# differ) over maximal-member buckets, word for word, as the oracle of
+# `_axiom_failure`, which decides all three axioms from the
+# meet-irreducibles.  Its generator pass is kept word for word too, as
+# `_additive_generators`.
+
+def _additive_generators(conductor, small, members):
+    """The additive generators of sorted `small`, or None when a capped sum
+    of two members is missing.
+
+    In ascending order, a nonzero member not yet recorded as an exact sum
+    g + s is a generator g: cap(g + s) = min(g + s, conductor) is checked
+    for every member s, skipping the generators already done, and g + s is
+    recorded when no coordinate is capped.  This suffices.  Every member is
+    an exact sum of generators, and capped addition is associative,
+    cap(cap(x) + y) = cap(x + y) for y >= 0, so g + S inside S for each
+    generator g gives S + S inside S.  A capped sum is not recorded:
+    x = cap(g + x) would make x its own summand.
+    """
+    sums, done, rest = set(), [], list(small)
+    for g in small:
+        if g in sums or not any(g):
+            continue
+        done.append(g)
+        for s in rest:
+            total = tuple(map(add, g, s))
+            capped = tuple(map(min, total, conductor))
+            if capped not in members:
+                return None
+            if capped == total:
+                sums.add(total)
+        del rest[bisect_left(rest, g)]
+    return done
+
 
 def axiom_failure_by_keys_oracle(d, conductor, small):
     """First violated good-semigroup axiom as a message, or None.
@@ -434,6 +465,16 @@ def axiom_failure_by_keys_oracle(d, conductor, small):
                         list(a), list(b), p + 1)
             passed.add((m, differ))
     return None
+
+
+def min_closure(conductor, seeds):
+    """The vectors reached from 0, the conductor and the seeds by
+    componentwise min: candidates that pass (1) and often fail the sum."""
+    found = set()
+    for x in {(0,) * len(conductor), tuple(conductor), *map(tuple, seeds)}:
+        found |= {x} | {tuple(map(min, x, r)) for r in found}
+    return found
+
 
 def min_sum_closure(conductor, seeds):
     """The vectors of the box [0, conductor] reached from 0, the conductor

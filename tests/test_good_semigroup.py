@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from arfcurves.errors import DomainError, ValidationError
 from arfcurves.good_semigroup import (
     GoodSemigroup,
-    _additive_generators,
     _boxed,
     _lift_gaps,
     _meet_irreducibles,
@@ -27,9 +26,9 @@ from arfcurves.good_semigroup import (
 )
 from arfcurves.mult_tree import MultiplicityTree, tree_to_semigroup
 from arfcurves.numerical import NumericalSemigroup, arf_closure, seq_to_semigroup
-from helpers import (arf_good_oracle, axiom_failure_by_keys_oracle, boxed_oracle,
-                     from_member_grid, good_axioms_oracle, min_sum_closure, random_arf_sequence,
-                     random_tree)
+from helpers import (TWELVE, _additive_generators, arf_good_oracle, axiom_failure_by_keys_oracle,
+                     boxed_oracle, from_member_grid, good_axioms_oracle, min_closure,
+                     min_sum_closure, random_arf_sequence, random_tree)
 
 # Two branches: {(0,0),(4,2)} with the column (6,n) n>=4 and (8,4)+N^2.
 EX1 = GoodSemigroup(2, (8, 4), [(0, 0), (4, 2), (6, 4), (8, 4)])
@@ -365,14 +364,16 @@ def _mutants(rng, conductor, members, removed, added):
 
 
 def test_axiom_messages_match_the_lift_by_keys_oracle():
-    # the algorithm whose lift searched witnesses once per key over buckets
-    # of maximal members gives the same verdict and message on four
-    # families: random box subsets, min/sum closures of random seeds and
-    # their one-member-removed mutants (these pass (1) and the sum and reach
-    # the lift), tree semigroups with one member removed or added, and dense
-    # products of numerical semigroups
+    # the algorithm whose sum walked the additive generators and whose lift
+    # searched witnesses once per key over buckets of maximal members gives
+    # the same verdict and message on five families: random box subsets,
+    # min/sum closures of random seeds and their one-member-removed mutants
+    # (these pass (1) and the sum and reach the lift), tree semigroups with
+    # one member removed or added, dense products of numerical semigroups,
+    # and min-closures of random seeds (these pass (1) and often fail the
+    # sum) beside one-member-removed min/sum closures
     rng = random.Random(23)
-    kinds = {family: Counter() for family in ("box", "closure", "tree", "product")}
+    kinds = {family: Counter() for family in ("box", "closure", "tree", "product", "sum")}
 
     def check(family, d, conductor, small):
         small = sorted(small)
@@ -406,9 +407,18 @@ def test_axiom_messages_match_the_lift_by_keys_oracle():
         members = set(itertools.product(*((*N.small_elements, N.conductor) for N in factors)))
         for small in [members] + _mutants(rng, conductor, members, 1, 1):
             check("product", len(factors), conductor, small)
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        conductor = tuple(rng.randint(1, 6 - d) + (d < 4) for _ in range(d))
+        box = list(itertools.product(*(range(c + 1) for c in conductor)))
+        seeds = rng.sample(box, min(rng.randint(1, 5), len(box)))
+        check("sum", d, conductor, min_closure(conductor, seeds))
+        for small in _mutants(rng, conductor, min_sum_closure(conductor, seeds), 1, 0):
+            check("sum", d, conductor, small)
     total = sum(kinds.values(), Counter())
     assert {None, "property (1)", "not closed", "property (2)"} <= set(total), kinds
     assert kinds["closure"]["property (2)"] and kinds["closure"][None], kinds
+    assert kinds["sum"]["not closed"], kinds
 
 
 def test_lift_gaps_match_the_least_member_above():
@@ -456,14 +466,24 @@ def test_generator_counts_on_full_boxes():
         assert is_good(d, conductor, small) == (True, None)
 
 
-def test_axiom_check_time_follows_the_generators():
-    # <2,27>^3 has 2,744 members but 3 additive generators and 40
-    # meet-irreducibles; a check of every pair by set lookups took about
-    # 14 s, the lift searched once per key about 1-2 s, and the lift decided
-    # at each member from the irreducibles about 0.11 s (2 cores, CPython
-    # 3.11.7)
+def test_axiom_check_time_follows_the_irreducibles():
+    # all three axioms are decided from the meet-irreducibles.  <2,27>^3 has
+    # 2,744 members and 40 irreducibles; a check of every pair by set lookups
+    # took about 14 s, the lift searched once per key about 1-2 s, and the
+    # lift decided at each member from the irreducibles about 0.11 s.  The
+    # twelve-branch tree semigroup, shuffled, has 2,593 members and 24
+    # irreducibles; its capped-sum pass over 2,481 additive generators took
+    # about 9-16 s, the sum over irreducible pairs about 0.3 s.  <2,1601> at
+    # d = 1 is a chain: all 801 members are irreducible, and the sum pass
+    # over all pairs takes about 0.2 s (2 cores, CPython 3.11.7)
     chain = range(0, 27, 2)
-    small = list(itertools.product(chain, repeat=3))
-    start = time.perf_counter()
-    assert is_good(3, (26, 26, 26), small) == (True, None)
-    assert time.perf_counter() - start < 7.0
+    twelve = tree_to_semigroup(TWELVE)
+    order = random.Random(1).sample(range(12), 12)
+    for d, conductor, small, limit in (
+            (3, (26, 26, 26), list(itertools.product(chain, repeat=3)), 7.0),
+            (12, [twelve.conductor[j] for j in order],
+             [[v[j] for j in order] for v in twelve.small_elements], 5.0),
+            (1, (1600,), [(x,) for x in range(0, 1601, 2)], 2.0)):
+        start = time.perf_counter()
+        assert is_good(d, conductor, small) == (True, None)
+        assert time.perf_counter() - start < limit, d
