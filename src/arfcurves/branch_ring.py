@@ -35,7 +35,7 @@ from bisect import bisect_left
 from math import gcd, lcm
 
 from .errors import (DomainError, InputError, TruncationError, ValidationError, echo,
-                     literal_int, literal_list)
+                     literal_fields, literal_int, literal_list)
 from .mult_tree import MultiplicityTree, canonical_form, tree_to_semigroup
 from .series import SeriesTuple, parse_series
 
@@ -563,17 +563,15 @@ def curve_from_dict(data):
     truncation above MAX_TRUNCATION is refused with a DomainError.  Every
     generator component is parsed in its branch variable.
     """
-    if not isinstance(data, dict) or "d" not in data or "generators" not in data:
-        raise InputError("a curve literal needs d and generators")
+    literal_fields(data, ("d", "generators"), "curve")
     d = literal_int(data["d"], "d")
     if d < 1:
         raise InputError("d must be at least 1, got %d" % d)
     variables = data.get("variables")
-    if variables is None:
-        variables = _variable_names(d)
-    variables = [str(v) for v in literal_list(variables, "variables")]
-    if len(variables) != d or len(set(variables)) != d:
-        raise InputError("variables must be %d distinct names, got %s" % (d, echo(variables)))
+    if variables is not None:
+        variables = [str(v) for v in literal_list(variables, "variables")]
+        if len(variables) != d or len(set(variables)) != d:
+            raise InputError("variables must be %d distinct names, got %s" % (d, echo(variables)))
     truncation = literal_int(data.get("truncation", DEFAULT_TRUNCATION), "truncation")
     if truncation <= 0:
         raise InputError("truncation must be positive, got %d" % truncation)
@@ -586,6 +584,8 @@ def curve_from_dict(data):
     for i, generator in enumerate(generators):
         if not isinstance(generator, (list, tuple)) or len(generator) != d:
             raise InputError("generator %d must list %d component series" % (i + 1, d))
+        # the default names follow a generator of d components, so a bare d allocates nothing
+        variables = variables or _variable_names(d)
         parsed.append(
             SeriesTuple(
                 [parse_series(str(text), variables[j], truncation) for j, text in enumerate(generator)]

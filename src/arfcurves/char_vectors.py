@@ -16,7 +16,8 @@ costs its closure tree, with no semigroup built.
 import itertools
 from functools import cache
 
-from .errors import DomainError, ValidationError, echo, literal_int, literal_ints, literal_list
+from .errors import (DomainError, ValidationError, echo, literal_fields, literal_int, literal_ints,
+                     literal_list)
 from .mult_tree import (MultiplicityTree, _condition_c_failure, node_path_sum,
                         semigroup_to_tree, tree_to_semigroup)
 from .numerical import _closure_seq, characters_of_seq
@@ -268,9 +269,7 @@ def charset_to_dict(V):
 
 
 def charset_from_dict(data):
-    for key in ("d", "vectors"):
-        if key not in data:
-            raise ValidationError("character-set literal needs d and vectors")
+    literal_fields(data, ("d", "vectors"), "character-set")
     return CharacterVectorSet(literal_int(data["d"], "d"),
                               [literal_ints(v, "a vector")
                                for v in literal_list(data["vectors"], "vectors")])

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import DomainError, InputError, echo, literal_ints
+from .errors import DomainError, InputError, echo, literal_fields, literal_ints
 
 
 def dumps(payload):
@@ -44,43 +44,6 @@ def read_json(source):
     if not isinstance(data, dict):
         raise InputError("expected a JSON object in %s" % (name,))
     return data
-
-
-def _require(data, keys, what):
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise InputError("%s literal is missing %s" % (what, ", ".join(missing)))
-    return data
-
-
-def read_numerical(source):
-    from .numerical import semigroup_from_dict
-
-    data = read_json(source)
-    if "generators" not in data and not (
-            "conductor" in data and "small_elements" in data):
-        raise InputError(
-            "semigroup literal needs either generators or conductor + small_elements")
-    return semigroup_from_dict(data)
-
-
-def read_good(source):
-    from .good_semigroup import good_from_dict
-
-    return good_from_dict(
-        _require(read_json(source), ("d", "conductor", "small_elements"), "semigroup"))
-
-
-def read_tree(source):
-    from .mult_tree import tree_from_dict
-
-    return tree_from_dict(_require(read_json(source), ("d", "nodes"), "tree"))
-
-
-def read_charset(source):
-    from .char_vectors import charset_from_dict
-
-    return charset_from_dict(_require(read_json(source), ("d", "vectors"), "character-set"))
 
 
 def read_curve(source, truncation=None):
@@ -148,9 +111,8 @@ def closed(S):
 
     if is_arf(S):
         return S
-    multiplicity = S.small_elements[1] if len(S.small_elements) > 1 else 1
     generators = [s for s in S.small_elements if s]
-    generators.extend(S.conductor + i for i in range(multiplicity))
+    generators.extend(S.conductor + i for i in range(S.multiplicity()))
     return arf_closure(generators)
 
 
@@ -161,31 +123,31 @@ def cmd_closure(args):
 
 
 def cmd_seq(args):
-    from .numerical import semigroup_to_seq
+    from .numerical import semigroup_from_dict, semigroup_to_seq
 
-    seq = semigroup_to_seq(closed(read_numerical(args.input)))
+    seq = semigroup_to_seq(closed(semigroup_from_dict(read_json(args.input))))
     return dumps({"prefix": list(seq.prefix)})
 
 
 def cmd_unseq(args):
     from .numerical import MultiplicitySequence, semigroup_to_dict, seq_to_semigroup
 
-    data = _require(read_json(args.input), ("prefix",), "sequence")
+    data = literal_fields(read_json(args.input), ("prefix",), "sequence")
     prefix = literal_ints(data["prefix"], "prefix")
     return dumps(semigroup_to_dict(seq_to_semigroup(MultiplicitySequence(prefix))))
 
 
 def cmd_characters(args):
-    from .numerical import arf_characters
+    from .numerical import arf_characters, semigroup_from_dict
 
-    return dumps({"characters": sorted(arf_characters(closed(read_numerical(args.input))))})
+    S = closed(semigroup_from_dict(read_json(args.input)))
+    return dumps({"characters": sorted(arf_characters(S))})
 
 
 def cmd_check(args):
     from .good_semigroup import GoodSemigroup, good_literal, is_arf_good, is_good, is_local
 
-    literal = good_literal(
-        _require(read_json(args.input), ("d", "conductor", "small_elements"), "semigroup"))
+    literal = good_literal(read_json(args.input))
     good, reason = is_good(*literal)
     report = {"is_good": good, "is_local": None, "is_arf": None, "reason": reason}
     if good:
@@ -198,49 +160,55 @@ def cmd_check(args):
 
 
 def cmd_tree_from_semigroup(args):
+    from .good_semigroup import good_from_dict
     from .mult_tree import semigroup_to_tree, tree_to_dict
 
-    return dumps(tree_to_dict(semigroup_to_tree(read_good(args.input))))
+    return dumps(tree_to_dict(semigroup_to_tree(good_from_dict(read_json(args.input)))))
 
 
 def cmd_tree_to_semigroup(args):
     from .good_semigroup import good_to_dict
-    from .mult_tree import tree_to_semigroup
+    from .mult_tree import tree_from_dict, tree_to_semigroup
 
-    return dumps(good_to_dict(tree_to_semigroup(read_tree(args.input))))
+    return dumps(good_to_dict(tree_to_semigroup(tree_from_dict(read_json(args.input)))))
 
 
 def cmd_tree_intersect(args):
-    from .mult_tree import tree_intersection, tree_to_dict
+    from .mult_tree import tree_from_dict, tree_intersection, tree_to_dict
 
-    return dumps(tree_to_dict(tree_intersection(read_tree(args.first),
-                                                read_tree(args.second))))
+    return dumps(tree_to_dict(tree_intersection(tree_from_dict(read_json(args.first)),
+                                                tree_from_dict(read_json(args.second)))))
 
 
 def cmd_tree_render(args):
-    return render_tree(read_tree(args.input), args.format)
+    from .mult_tree import tree_from_dict
+
+    return render_tree(tree_from_dict(read_json(args.input)), args.format)
 
 
 def cmd_chars_build(args):
     from .char_vectors import build_character_vectors, charset_to_dict
+    from .good_semigroup import good_from_dict
 
     witness = parse_witness(args.witness_node) if args.witness_node else None
-    V = build_character_vectors(read_good(args.input), witness_node=witness)
+    V = build_character_vectors(good_from_dict(read_json(args.input)), witness_node=witness)
     return dumps(charset_to_dict(V))
 
 
 def cmd_chars_reduce(args):
-    from .char_vectors import charset_to_dict, reduce_characters
+    from .char_vectors import charset_from_dict, charset_to_dict, reduce_characters
+    from .good_semigroup import good_from_dict
 
-    V = reduce_characters(read_charset(args.charset), read_good(args.semigroup))
+    V = reduce_characters(charset_from_dict(read_json(args.charset)),
+                          good_from_dict(read_json(args.semigroup)))
     return dumps(charset_to_dict(V))
 
 
 def cmd_chars_closure(args):
-    from .char_vectors import smallest_arf_containing
+    from .char_vectors import charset_from_dict, smallest_arf_containing
     from .good_semigroup import good_to_dict
 
-    return dumps(good_to_dict(smallest_arf_containing(read_charset(args.input))))
+    return dumps(good_to_dict(smallest_arf_containing(charset_from_dict(read_json(args.input)))))
 
 
 def cmd_curve_tree(args):

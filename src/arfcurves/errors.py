@@ -38,6 +38,16 @@ def echo(value):
     return text if len(text) <= LITERAL_ECHO else text[:LITERAL_ECHO] + "..."
 
 
+def literal_fields(data, keys, what):
+    """The literal `data` itself, once it is an object holding every key."""
+    if not isinstance(data, dict):
+        raise InputError("%s literal must be an object, got %s" % (what, echo(data)))
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise InputError("%s literal is missing %s" % (what, ", ".join(missing)))
+    return data
+
+
 def literal_int(value, what):
     """An integer field of a literal; anything else is malformed input."""
     if isinstance(value, bool) or not isinstance(value, Integral):

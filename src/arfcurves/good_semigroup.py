@@ -21,7 +21,8 @@ from functools import cache, reduce
 from math import prod
 from operator import add, ge, le, or_
 
-from .errors import DomainError, ValidationError, echo, literal_int, literal_ints, literal_list
+from .errors import (DomainError, ValidationError, echo, literal_fields, literal_int, literal_ints,
+                     literal_list)
 from .numerical import NumericalSemigroup
 
 
@@ -343,9 +344,7 @@ def good_to_dict(S):
 
 def good_literal(data):
     """(d, conductor, small_elements) of a literal, each of the right type."""
-    for key in ("d", "conductor", "small_elements"):
-        if key not in data:
-            raise ValidationError("semigroup literal needs d, conductor and small_elements")
+    literal_fields(data, ("d", "conductor", "small_elements"), "semigroup")
     return (literal_int(data["d"], "d"),
             literal_ints(data["conductor"], "conductor"),
             [literal_ints(v, "a small element")

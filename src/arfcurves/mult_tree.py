@@ -15,7 +15,7 @@ from contextlib import suppress
 from functools import cache, cmp_to_key
 from math import inf, prod
 
-from .errors import (DomainError, InputError, ValidationError, echo, literal_int,
+from .errors import (DomainError, InputError, ValidationError, echo, literal_fields, literal_int,
                      literal_ints, literal_list)
 from .good_semigroup import GoodSemigroup, _project, is_local
 from .numerical import (MultiplicitySequence, NumericalSemigroup, decomposition_lengths,
@@ -123,7 +123,7 @@ def validate_tree(candidate):
     if not isinstance(candidate, MultiplicityTree):
         try:
             candidate = tree_from_dict(candidate, validate=False)
-        except (DomainError, ValidationError) as exc:
+        except (DomainError, InputError) as exc:
             return False, str(exc)
     if not hasattr(candidate, "_verdict"):  # condition c is checked once per tree
         failure = _condition_c_failure(candidate.branches, candidate.splits)
@@ -367,9 +367,7 @@ def tree_to_dict(T):
 
 def tree_from_dict(data, validate=True):
     """Parse the node-list form, checking the structural tree conditions."""
-    for key in ("d", "nodes"):
-        if key not in data:
-            raise ValidationError("tree literal needs d and nodes")
+    literal_fields(data, ("d", "nodes"), "tree")
     d = literal_int(data["d"], "d")
     if d < 1:
         raise ValidationError("d must be >= 1")

@@ -11,7 +11,8 @@ from bisect import bisect_left
 from itertools import accumulate
 from math import gcd, inf
 
-from .errors import DomainError, ValidationError, literal_int, literal_ints
+from .errors import (DomainError, InputError, ValidationError, literal_fields, literal_int,
+                     literal_ints)
 
 # Largest conductor from_generators and arf_closure compute before refusing.
 MAX_CONDUCTOR = 2 ** 20
@@ -305,9 +306,10 @@ def semigroup_to_dict(S):
 
 def semigroup_from_dict(data):
     """Build from a literal: {"generators": [...]} or {"conductor": c, "small_elements": [...]}."""
+    literal_fields(data, (), "semigroup")
     if "generators" in data:
         return NumericalSemigroup.from_generators(literal_ints(data["generators"], "generators"))
     if "conductor" in data and "small_elements" in data:
         return NumericalSemigroup(literal_int(data["conductor"], "conductor"),
                                   literal_ints(data["small_elements"], "small_elements"))
-    raise ValidationError("semigroup literal needs either generators or conductor + small_elements")
+    raise InputError("semigroup literal needs either generators or conductor + small_elements")

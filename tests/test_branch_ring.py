@@ -892,8 +892,12 @@ def test_curve_dict_round_trip():
 
 
 def test_curve_dict_errors():
-    with pytest.raises(InputError, match="needs d and generators"):
+    with pytest.raises(InputError, match="^curve literal is missing d$"):
         curve_from_dict({"generators": [["t"]]})
+    with pytest.raises(InputError, match="^curve literal is missing d, generators$"):
+        curve_from_dict({"variables": ["t"]})
+    with pytest.raises(InputError, match="^curve literal must be an object"):
+        curve_from_dict([1, 2])
     with pytest.raises(InputError, match="d must be at least 1"):
         curve_from_dict({"d": 0, "generators": [[]]})
     with pytest.raises(InputError, match="2 distinct names"):
@@ -904,6 +908,13 @@ def test_curve_dict_errors():
         curve_from_dict({"d": 1, "truncation": 0, "generators": [["t"]]})
     with pytest.raises(InputError, match="non-empty list"):
         curve_from_dict({"d": 1, "generators": []})
+
+
+def test_huge_d_is_refused_before_the_default_names(monkeypatch):
+    # a generator of the wrong length is named before d variable names are built
+    monkeypatch.setattr(branch_ring, "_variable_names", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(InputError, match="generator 1 must list 100000000 component series"):
+        curve_from_dict({"d": 10 ** 8, "generators": [["t^2"]]})
 
 
 def test_results_stable_under_truncation_doubling():

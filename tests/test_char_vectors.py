@@ -11,7 +11,7 @@ from arfcurves.char_vectors import (CharacterVectorSet, build_character_vectors,
                                     charset_from_dict, charset_to_dict,
                                     is_minimal_character_set, reduce_characters,
                                     smallest_arf_containing)
-from arfcurves.errors import DomainError, ValidationError
+from arfcurves.errors import DomainError, InputError
 from arfcurves.good_semigroup import GoodSemigroup
 from arfcurves.mult_tree import MultiplicityTree, tree_to_semigroup
 from arfcurves.numerical import NumericalSemigroup
@@ -179,7 +179,7 @@ def test_dict_round_trip():
     data = charset_to_dict(V)
     assert data == {"d": 2, "vectors": [[4, 2], [6, 5], [9, 4]]}
     assert charset_from_dict(data) == V
-    with pytest.raises(ValidationError, match="needs d and vectors"):
+    with pytest.raises(InputError, match="^character-set literal is missing d$"):
         charset_from_dict({"vectors": []})
     with pytest.raises(DomainError, match="dimension"):
         CharacterVectorSet(2, [(1, 2, 3)])

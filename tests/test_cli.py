@@ -10,10 +10,13 @@ import pytest
 
 import arfcurves
 from arfcurves import good_semigroup
-from arfcurves.branch_ring import _variable_names
+from arfcurves.branch_ring import _variable_names, curve_from_dict
+from arfcurves.char_vectors import charset_from_dict
 from arfcurves.cli import main
-from arfcurves.errors import echo
-from arfcurves.mult_tree import MultiplicityTree, tree_to_dict
+from arfcurves.errors import InputError, echo, literal_fields
+from arfcurves.good_semigroup import good_from_dict
+from arfcurves.mult_tree import MultiplicityTree, tree_from_dict, tree_to_dict
+from arfcurves.numerical import semigroup_from_dict
 
 EX1 = '{"d":2,"conductor":[8,4],"small_elements":[[0,0],[4,2],[6,4],[8,4]]}'
 EX2 = '{"d":2,"conductor":[4,6],"small_elements":[[0,0],[2,3],[3,5],[4,6]]}'
@@ -608,6 +611,45 @@ def test_mistyped_literals_exit_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def read_sequence(data):
+    return literal_fields(data, ("prefix",), "sequence")
+
+
+@pytest.mark.parametrize("reader, argv, literal, message", [
+    (semigroup_from_dict, ("seq",), '{"conductor":4}',
+     "semigroup literal needs either generators or conductor + small_elements"),
+    (semigroup_from_dict, ("characters",), "[4,6]", "semigroup literal must be an object"),
+    (good_from_dict, ("check",), '{"d":2,"conductor":[8,4]}',
+     "semigroup literal is missing small_elements"),
+    (good_from_dict, ("tree", "from-semigroup"), '{"small_elements":[]}',
+     "semigroup literal is missing d, conductor"),
+    (good_from_dict, ("chars", "build"), "[]", "semigroup literal must be an object"),
+    (tree_from_dict, ("tree", "render"), '{"d":1}', "tree literal is missing nodes"),
+    (tree_from_dict, ("tree", "to-semigroup"), "5", "tree literal must be an object"),
+    (charset_from_dict, ("chars", "closure"), '{"vectors":[[1,1]]}',
+     "character-set literal is missing d"),
+    (charset_from_dict, ("chars", "closure"), '"x"', "character-set literal must be an object"),
+    (curve_from_dict, ("curve", "tree"), '{"d":1}', "curve literal is missing generators"),
+    (curve_from_dict, ("curve", "semigroup"), "null", "curve literal must be an object"),
+    (read_sequence, ("unseq",), '{"steps":[4,2]}', "sequence literal is missing prefix"),
+    (read_sequence, ("unseq",), "[4,2]", "sequence literal must be an object"),
+])
+def test_each_literal_has_one_reader(capsys, monkeypatch, reader, argv, literal, message):
+    # the library reader and the command refuse a literal alike; a non-object,
+    # read from stdin, stops at the command's JSON reader first
+    with pytest.raises(InputError) as raised:
+        reader(json.loads(literal))
+    assert str(raised.value).startswith(message)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(literal))
+    code = main([*argv, "-"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    if literal.startswith("{"):
+        assert captured.err == "error: %s\n" % raised.value
+    else:
+        assert captured.err == "error: expected a JSON object in '-'\n"
 
 
 def test_outputs_are_deterministic(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfcurves.errors import DomainError, ValidationError
+from arfcurves.errors import DomainError, InputError, ValidationError
 from arfcurves.good_semigroup import (
     GoodSemigroup,
     _boxed,
@@ -263,7 +263,7 @@ def test_dict_round_trip():
     assert data == {"d": 2, "conductor": [8, 4],
                     "small_elements": [[0, 0], [4, 2], [6, 4], [8, 4]]}
     assert good_from_dict(data) == EX1
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError, match="^semigroup literal is missing small_elements$"):
         good_from_dict({"d": 2, "conductor": [8, 4]})
 
 

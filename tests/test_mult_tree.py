@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arfcurves import good_semigroup, mult_tree
-from arfcurves.errors import DomainError, ValidationError
+from arfcurves.errors import DomainError, InputError, ValidationError
 from arfcurves.good_semigroup import (GoodSemigroup, fine_multiplicity, is_arf_good, is_good,
                                       is_local, residue)
 from arfcurves.mult_tree import (MAX_TREE_MEMBERS, MultiplicityTree, _branches_and_splits,
@@ -454,7 +454,7 @@ def test_dict_fixture():
 
 def test_dict_parse_errors():
     good = tree_to_dict(T_PAIR)
-    with pytest.raises(ValidationError, match="needs d and nodes"):
+    with pytest.raises(InputError, match="^tree literal is missing d$"):
         tree_from_dict({"nodes": []})
 
     bad = {"d": 3, "nodes": [
@@ -497,6 +497,13 @@ def test_validate_tree_accepts_dicts():
     assert validate_tree(tree_to_dict(T_EX1)) == (True, None)
     ok, message = validate_tree({"d": 2, "nodes": []})
     assert not ok and "cover" in message
+    # a malformed literal is a verdict too, never an exception
+    for candidate, reason in (({"d": 2, "nodes": 5}, "nodes must be a list"),
+                              ({"d": "x", "nodes": []}, "d must be an integer"),
+                              ({"d": 2, "nodes": [3]}, "node 0 must be an object"),
+                              ([1, 2], "tree literal must be an object")):
+        ok, message = validate_tree(candidate)
+        assert not ok and message.startswith(reason)
 
 
 def test_render_ascii():
