@@ -28,7 +28,11 @@ same constant on both (see `_partition`).  Two curves are equivalent
 exactly when their multiplicity trees agree up to branch renumbering.
 
 Every computation is exact below the truncation order and fails loudly
-(TruncationError) rather than extrapolate past it.
+(TruncationError) rather than extrapolate past it.  So the declared
+truncation order is the most precision the tree walk may use: it walks
+first at t_0 = 2*(e + 1), for the largest written exponent e, and moves
+on to 2*t_0, 4*t_0, ... and finally the declared order only on a
+TruncationError.  A tree found at a cut is exact, hence final.
 """
 
 from bisect import bisect_left
@@ -37,7 +41,7 @@ from math import gcd, lcm
 from .errors import (DomainError, InputError, TruncationError, ValidationError, echo,
                      literal_fields, literal_int, literal_list)
 from .mult_tree import MultiplicityTree, canonical_form, tree_to_semigroup
-from .series import SeriesTuple, parse_series
+from .series import SeriesTuple, TruncatedSeries, parse_series
 
 DEFAULT_TRUNCATION = 64
 # the same limit as the conductors: larger orders are refused up front
@@ -475,6 +479,17 @@ def multiplicity_tree_of_curve(algebra):
     long as every split cuts them into consecutive blocks (true for all
     trees this package serializes); otherwise they are listed in
     separation order.
+
+    The declared truncation order T is the most precision the walk may
+    use: a blowup uses up about as many orders as its multiplicity, so a
+    tree needs about as many terms as its largest branch sum.  The walk
+    runs first on the generators cut at t_0 = 2*(e + 1), for the largest
+    exponent e of a known term, so the cut keeps every written term; only
+    a TruncationError sends it on to 2*t_0, 4*t_0, ..., and the last
+    attempt is T itself.  Every step is exact below its truncation or
+    raises TruncationError, so a tree found at a cut is the tree at T, and
+    any other error propagates.  Identical branches are refused once, at
+    T: components that agree at T agree at every cut.
     """
     if not is_local_ring(algebra):
         raise DomainError("the curve is not local; only local curves have a multiplicity tree")
@@ -486,6 +501,21 @@ def multiplicity_tree_of_curve(algebra):
                     "they fail to separate in every blowup; no larger truncation of "
                     "these literals separates them" % (a + 1, b + 1)
                 )
+    largest = max(e for g in algebra.generators for c in g.components for e in c.numerators)
+    t = 2 * (largest + 1)
+    while t < algebra.truncation_order:
+        # adding the zero series known below t cuts a generator there
+        zero = SeriesTuple([TruncatedSeries({}, t)] * algebra.d)
+        try:
+            return _walk(LocalAlgebra([g + zero for g in algebra.generators], validate=False))
+        except TruncationError:
+            t *= 2
+    return _walk(algebra)
+
+
+def _walk(algebra):
+    """The multiplicity tree of a local curve with distinct branches, at
+    the algebra's own truncation order."""
     if algebra.d == 1:
         exhausted = ("the multiplicity sequence does not reach 1 within the truncation "
                      "order; the branch has infinite index in its normalization or the "
@@ -564,9 +594,7 @@ def curve_from_dict(data):
     generator component is parsed in its branch variable.
     """
     literal_fields(data, ("d", "generators"), "curve")
-    d = literal_int(data["d"], "d")
-    if d < 1:
-        raise InputError("d must be at least 1, got %d" % d)
+    d = literal_int(data["d"], "d", 1)
     variables = data.get("variables")
     if variables is not None:
         variables = [str(v) for v in literal_list(variables, "variables")]

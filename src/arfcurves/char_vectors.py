@@ -270,6 +270,6 @@ def charset_to_dict(V):
 
 def charset_from_dict(data):
     literal_fields(data, ("d", "vectors"), "character-set")
-    return CharacterVectorSet(literal_int(data["d"], "d"),
+    return CharacterVectorSet(literal_int(data["d"], "d", 1),
                               [literal_ints(v, "a vector")
                                for v in literal_list(data["vectors"], "vectors")])

@@ -48,10 +48,13 @@ def literal_fields(data, keys, what):
     return data
 
 
-def literal_int(value, what):
-    """An integer field of a literal; anything else is malformed input."""
+def literal_int(value, what, least=None):
+    """An integer field of a literal, at least `least` when that is given;
+    anything else is malformed input."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InputError("%s must be an integer, got %s" % (what, echo(value)))
+    if least is not None and value < least:
+        raise InputError("%s must be at least %d, got %d" % (what, least, value))
     return int(value)
 
 

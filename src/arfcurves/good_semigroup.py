@@ -345,7 +345,7 @@ def good_to_dict(S):
 def good_literal(data):
     """(d, conductor, small_elements) of a literal, each of the right type."""
     literal_fields(data, ("d", "conductor", "small_elements"), "semigroup")
-    return (literal_int(data["d"], "d"),
+    return (literal_int(data["d"], "d", 1),
             literal_ints(data["conductor"], "conductor"),
             [literal_ints(v, "a small element")
              for v in literal_list(data["small_elements"], "small_elements")])

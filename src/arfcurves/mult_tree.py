@@ -368,16 +368,13 @@ def tree_to_dict(T):
 def tree_from_dict(data, validate=True):
     """Parse the node-list form, checking the structural tree conditions."""
     literal_fields(data, ("d", "nodes"), "tree")
-    d = literal_int(data["d"], "d")
-    if d < 1:
-        raise ValidationError("d must be >= 1")
+    d = literal_int(data["d"], "d", 1)
     by_level = {}
     parsed = []
     for position, node in enumerate(literal_list(data["nodes"], "nodes")):
         if not isinstance(node, dict):
             raise InputError("node %d must be an object, got %s" % (position, echo(node)))
-        if not {"level", "vector", "parent"} <= node.keys():
-            raise ValidationError("node %d needs level, vector and parent" % position)
+        literal_fields(node, ("level", "vector", "parent"), "node %d" % position)
         level = literal_int(node["level"], "the level of node %d" % position)
         vector = literal_ints(node["vector"], "the vector of node %d" % position)
         parent = node["parent"]

@@ -238,16 +238,88 @@ def test_diagonal_never_separates():
 
 
 def test_blowup_fixed_point_ends_the_walk():
-    # k[[t^2]] and k[[(t,2u)]] blow up to themselves; the walk
-    # stops after one blowup instead of one per unit of truncation
-    for algebra, message in ((curve(["t^2"], truncation=200), "does not reach 1"),
-                             (curve(["t", "2u"], truncation=200), "fail to separate")):
-        calls = []
+    # k[[t^2]] and k[[(t,2u)]] blow up to themselves; each precision attempt
+    # stops after one blowup instead of one per unit of truncation, so the
+    # walk makes one blowup per rung of the ladder t_0, 2*t_0, ..., T
+    for algebra, message, orders in (
+            (curve(["t^2"], truncation=200), "does not reach 1", [6, 12, 24, 48, 96, 192, 200]),
+            (curve(["t", "2u"], truncation=200), "fail to separate", [4, 8, 16, 32, 64, 128, 200])):
+        blown = []
         with mock.patch.object(branch_ring, "blowup",
-                               side_effect=lambda a, real=blowup: calls.append(a) or real(a)):
+                               side_effect=lambda a, real=blowup: blown.append(real(a)) or blown[-1]):
             with pytest.raises(TruncationError, match=message):
                 multiplicity_tree_of_curve(algebra)
-        assert len(calls) == 1
+        assert [b.truncation_order for b in blown] == orders
+
+
+FOUR = (["t^3", "u^2", "v^2", "w^3"], ["1/2*t^5", "u^5", "2*v^3", "3/2*w^4+3/2*w^5"])
+
+
+def test_walk_precision_follows_the_tree_not_the_truncation():
+    # the four-branch curve decides at t_0 = 2*(5 + 1) = 12 whatever the
+    # declared truncation: no division it runs sees an operand known past 12
+    expected = multiplicity_tree_of_curve(curve(*FOUR, truncation=64))
+    assert expected == MultiplicityTree([[3, 2], [2], [3], [2, 2]], splits=(2, 2, 1))
+    divide, seen = TruncatedSeries.__truediv__, []
+
+    def recording(f, g):
+        seen.append(max(f.truncation, g.truncation))
+        return divide(f, g)
+
+    with mock.patch.object(TruncatedSeries, "__truediv__", recording):
+        assert multiplicity_tree_of_curve(curve(*FOUR, truncation=1024)) == expected
+    assert seen and max(seen) <= 12
+
+
+def random_small_curve(rng):
+    """d <= 4 branches, 2-3 generators, 1-3 terms per component, exponents
+    <= 12: the generators' texts and their largest exponent."""
+    names = branch_ring._variable_names(rng.randint(1, 4))
+    generators, largest = [], 0
+    for _ in range(rng.randint(2, 3)):
+        generator = []
+        for s in names:
+            exponents = rng.sample(range(1, 13), rng.randint(1, 3))
+            largest = max(largest, *exponents)
+            generator.append("".join("%s*%s^%d" % (rng.choice(("+1", "-1", "+2", "+3", "+1/2",
+                                                                "-3/2")), s, e)
+                                     for e in exponents))
+        generators.append(generator)
+    return generators, largest
+
+
+def test_every_cut_is_right_or_a_truncation_error():
+    # the ladder is sound only if the walk never guesses: at every cut t from
+    # the largest exponent + 1 to T the unladdered walk gives the tree at 2T
+    # or a TruncationError, never another tree or another error
+    rng, decided = random.Random(26), 0
+    for _ in range(36):
+        generators, largest = random_small_curve(rng)
+        try:
+            full = multiplicity_tree_of_curve(curve(*generators, truncation=64))
+        except TruncationError as error:
+            full = error
+        try:
+            reference = branch_ring._walk(curve(*generators, truncation=128))
+        except TruncationError:
+            reference = None
+        if isinstance(full, TruncationError):
+            if "same component in every generator" in str(full):
+                continue
+            # the ladder's last attempt is the walk at T, with its own error
+            with pytest.raises(TruncationError) as at_full:
+                branch_ring._walk(curve(*generators, truncation=64))
+            assert str(at_full.value) == str(full)
+        else:
+            assert full == reference
+            decided += 1
+        for t in range(largest + 1, 65):
+            try:
+                tree = branch_ring._walk(curve(*generators, truncation=t))
+            except TruncationError:
+                continue
+            assert tree == reference, (generators, t)
+    assert decided > 18
 
 
 def test_identical_branches_fail_before_the_first_blowup():

@@ -635,6 +635,16 @@ def read_sequence(data):
     (curve_from_dict, ("curve", "semigroup"), "null", "curve literal must be an object"),
     (read_sequence, ("unseq",), '{"steps":[4,2]}', "sequence literal is missing prefix"),
     (read_sequence, ("unseq",), "[4,2]", "sequence literal must be an object"),
+    # a tree node is a literal of its own, and d < 1 is malformed in every literal
+    (tree_from_dict, ("tree", "render"), '{"d":1,"nodes":[{"level":0}]}',
+     "node 0 literal is missing vector, parent"),
+    (tree_from_dict, ("tree", "render"), '{"d":0,"nodes":[]}', "d must be at least 1, got 0"),
+    (charset_from_dict, ("chars", "closure"), '{"d":0,"vectors":[]}',
+     "d must be at least 1, got 0"),
+    (curve_from_dict, ("curve", "tree"), '{"d":0,"generators":[["t^2"]]}',
+     "d must be at least 1, got 0"),
+    (good_from_dict, ("check",), '{"d":0,"conductor":[],"small_elements":[]}',
+     "d must be at least 1, got 0"),
 ])
 def test_each_literal_has_one_reader(capsys, monkeypatch, reader, argv, literal, message):
     # the library reader and the command refuse a literal alike; a non-object,
