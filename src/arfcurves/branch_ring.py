@@ -63,7 +63,7 @@ class LocalAlgebra:
 
     __slots__ = ("d", "generators", "truncation_order")
 
-    def __init__(self, generators, truncation_order=None, validate=True):
+    def __init__(self, generators, validate=True):
         generators = list(generators)
         if not generators:
             raise DomainError("a curve presentation needs at least one generator")
@@ -94,11 +94,7 @@ class LocalAlgebra:
             raise DomainError("every generator reduced to zero")
         self.d = d
         self.generators = tuple(kept)
-        if truncation_order is None:
-            truncation_order = min(
-                component.truncation for g in kept for component in g.components
-            )
-        self.truncation_order = int(truncation_order)
+        self.truncation_order = min(c.truncation for g in kept for c in g.components)
 
     def __repr__(self):
         return "LocalAlgebra(d=%d, generators=%d, truncation_order=%d)" % (
@@ -619,7 +615,7 @@ def curve_from_dict(data):
                 [parse_series(str(text), variables[j], truncation) for j, text in enumerate(generator)]
             )
         )
-    return LocalAlgebra(parsed, truncation_order=truncation, validate=True)
+    return LocalAlgebra(parsed)
 
 
 def curve_to_dict(algebra, variables=None):

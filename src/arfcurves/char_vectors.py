@@ -4,8 +4,9 @@ A local Arf good semigroup S is pinned down by finitely many members: the
 minimal members carrying the Arf characters of each projection, plus one
 vector over each branching node that no such member already witnesses.
 Conversely, the smallest Arf semigroup containing a finite vector set V is
-computed over the branch collection E of per-coordinate Arf closures by
-maximizing split levels subject to the membership constraints of V.
+computed over the branch collection E of per-coordinate Arf closures: each
+consecutive pair splits at the smaller of its membership bound from V and
+its condition-c cap.
 
 Whether V determines S is decided on trees.  Trees and Arf semigroups
 correspond one to one, so smallest(V) = S exactly when the closure tree of
@@ -18,8 +19,7 @@ from functools import cache
 
 from .errors import (DomainError, ValidationError, echo, literal_fields, literal_int, literal_ints,
                      literal_list)
-from .mult_tree import (MultiplicityTree, _condition_c_failure, node_path_sum,
-                        semigroup_to_tree, tree_to_semigroup)
+from .mult_tree import _capped_tree, node_path_sum, semigroup_to_tree, tree_to_semigroup
 from .numerical import _closure_seq, characters_of_seq
 
 
@@ -130,42 +130,16 @@ def build_character_vectors(S, witness_node=None):
     return CharacterVectorSet(S.d, vectors)
 
 
-def _max_valid_splits(branches, bounds):
-    """Pointwise-largest split vector <= bounds satisfying the subtree-sum
-    condition.  Valid vectors are closed under pointwise max, so lowering
-    each coordinate of a violated window to its cap and maximizing over the
-    results reaches the unique maximum.
-    """
-    memo = {}
-
-    def solve(w):
-        if w in memo:
-            return memo[w]
-        failure = _condition_c_failure(branches, w)
-        if failure is None:
-            memo[w] = w
-            return w
-        _, j, h, cap = failure
-        best = None
-        for a in range(j, h):
-            if w[a] > cap:
-                cand = solve(w[:a] + (cap,) + w[a + 1:])
-                best = cand if best is None else tuple(map(max, best, cand))
-        memo[w] = best
-        return best
-
-    return solve(tuple(int(b) for b in bounds))
-
-
 def _closure_tree(d, vectors, closures):
     """Tree of the smallest Arf good semigroup containing the vectors of N^d.
 
     The branch collection is fixed by the per-coordinate Arf closures; a
     vector whose prefix-sum indices k_j and k_{j+1} differ forces the pair
     to split no later than min(k_j, k_{j+1}), and all branches must be
-    distinct one level past the deepest index seen.  The splits are then
-    the largest valid levels within those bounds.  `closures` keeps each
-    closure by its set of values, across the calls that share it.
+    distinct one level past the deepest index seen.  Each pair then splits
+    at the smaller of that membership bound and its condition-c cap.
+    `closures` keeps each closure by its set of values, across the calls
+    that share it.
     """
     vectors = [v for v in vectors if any(v)]
     if not vectors:
@@ -187,9 +161,7 @@ def _closure_tree(d, vectors, closures):
         for j in range(d - 1):
             if m[j] != m[j + 1]:
                 bounds[j] = min(bounds[j], m[j], m[j + 1])
-    T = MultiplicityTree(branches, _max_valid_splits(branches, bounds), validate=False)
-    T._verdict = (True, None)  # _max_valid_splits has checked condition c on its splits
-    return T
+    return _capped_tree(branches, bounds)
 
 
 def smallest_arf_containing(V):

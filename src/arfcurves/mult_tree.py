@@ -111,6 +111,24 @@ def _condition_c_failure(branches, splits):
     return None
 
 
+def _capped_tree(branches, bounds):
+    """The tree whose pair a splits at min(bounds[a], cap[a]), verdict recorded.
+
+    By the walk in _condition_c_failure, condition c holds iff every
+    adjacent pair a passes, that is splits[a] <= cap[a], the least
+    i + min(k_i^a, k_i^(a+1)) over the levels i where the two k_i differ.
+    The valid split vectors are a box, so these splits are the largest
+    valid ones within bounds.
+    """
+    ks = [decomposition_lengths(seq) for seq in branches]
+    splits = [min([bound] + [i + min(x, y) for i, (x, y)
+                             in enumerate(itertools.zip_longest(low, high, fillvalue=1)) if x != y])
+              for bound, low, high in zip(bounds, ks, ks[1:])]
+    T = MultiplicityTree(branches, splits, validate=False)
+    T._verdict = (True, None)
+    return T
+
+
 def validate_tree(candidate):
     """Check tree validity; returns (True, None) or (False, message).
 
@@ -122,9 +140,10 @@ def validate_tree(candidate):
     """
     if not isinstance(candidate, MultiplicityTree):
         try:
-            candidate = tree_from_dict(candidate, validate=False)
+            tree_from_dict(candidate)
         except (DomainError, InputError) as exc:
             return False, str(exc)
+        return True, None
     if not hasattr(candidate, "_verdict"):  # condition c is checked once per tree
         failure = _condition_c_failure(candidate.branches, candidate.splits)
         candidate._verdict = (failure is None, failure and "condition c fails at the level-%d "
@@ -365,8 +384,9 @@ def tree_to_dict(T):
     return {"d": T.d, "stable_level": T.stable_level, "nodes": nodes}
 
 
-def tree_from_dict(data, validate=True):
-    """Parse the node-list form, checking the structural tree conditions."""
+def tree_from_dict(data):
+    """Parse the node-list form, checking the structural tree conditions and
+    condition c."""
     literal_fields(data, ("d", "nodes"), "tree")
     d = literal_int(data["d"], "d", 1)
     by_level = {}
@@ -437,7 +457,7 @@ def tree_from_dict(data, validate=True):
             raise ValidationError("branches %d and %d are glued on non-contiguous "
                                   "levels" % (j + 1, j + 2))
         splits.append(max(glued))
-    return MultiplicityTree(prefixes, splits, validate=validate)
+    return MultiplicityTree(prefixes, splits)
 
 
 def render_ascii(T):

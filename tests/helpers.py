@@ -14,8 +14,8 @@ from operator import add, ge, le, ne
 import numpy as np
 
 from arfcurves import branch_ring
-from arfcurves.char_vectors import (CharacterVectorSet, _max_valid_splits,
-                                    _minimal_member_with_coordinate, smallest_arf_containing)
+from arfcurves.char_vectors import (CharacterVectorSet, _minimal_member_with_coordinate,
+                                    smallest_arf_containing)
 from arfcurves.errors import DomainError, InputError, TruncationError, ValidationError, echo
 from arfcurves.good_semigroup import (GoodSemigroup, _boxed, _meet_irreducibles, _project,
                                       projection)
@@ -163,6 +163,29 @@ def condition_c_oracle(branches, splits):
                 if kj != kh and min(splits[j:h]) > i + min(kj, kh):
                     return (i, j, h, i + min(kj, kh))
     return None
+
+
+def max_valid_splits_oracle(branches, bounds):
+    """Pointwise-largest split vector <= bounds satisfying condition c.
+
+    Valid vectors are closed under pointwise max, so lowering each
+    coordinate of a violated window to its cap and maximizing over the
+    results reaches the unique maximum.
+    """
+    memo = {}
+
+    def solve(w):
+        if w not in memo:
+            failure = condition_c_oracle(branches, w)
+            if failure is None:
+                memo[w] = w
+            else:
+                _, j, h, cap = failure
+                lowered = [solve(w[:a] + (cap,) + w[a + 1:]) for a in range(j, h) if w[a] > cap]
+                memo[w] = tuple(map(max, zip(*lowered)))
+        return memo[w]
+
+    return solve(tuple(bounds))
 
 
 # Twelve smooth branches with 2,593 small elements.
@@ -1252,9 +1275,7 @@ def smallest_arf_containing_oracle(V):
         for j in range(d - 1):
             if m[j] != m[j + 1]:
                 bounds[j] = min(bounds[j], m[j], m[j + 1])
-    T = MultiplicityTree(branches, _max_valid_splits(branches, bounds), validate=False)
-    T._verdict = (True, None)  # _max_valid_splits has checked condition c on its splits
-    return tree_to_semigroup(T)
+    return tree_to_semigroup(MultiplicityTree(branches, max_valid_splits_oracle(branches, bounds)))
 
 
 def reduce_characters_oracle(V, S):

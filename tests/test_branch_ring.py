@@ -594,7 +594,7 @@ def test_span_matches_queue_oracle():
         algebra = random_curve(rng, min_branches=1)
         generators = list(algebra.generators)
         rng.shuffle(generators)
-        shuffled = LocalAlgebra(generators, truncation_order=algebra.truncation_order)
+        shuffled = LocalAlgebra(generators)
         bound = tuple(rng.randint(0, min(12, algebra.truncation_order - 1))
                       for _ in range(algebra.d))
         rows += len(assert_span_matches_queue(shuffled, bound)[0])

@@ -12,7 +12,7 @@ from arfcurves.errors import DomainError, InputError, ValidationError
 from arfcurves.good_semigroup import (GoodSemigroup, fine_multiplicity, is_arf_good, is_good,
                                       is_local, residue)
 from arfcurves.mult_tree import (MAX_TREE_MEMBERS, MultiplicityTree, _branches_and_splits,
-                                 _condition_c_failure, _glued_order, canonical_form,
+                                 _capped_tree, _condition_c_failure, _glued_order, canonical_form,
                                  node_path_sum, noether_sum, pinch,
                                  render_ascii, render_dot, semigroup_to_tree, split_profile,
                                  tree_from_dict, tree_intersection, tree_leq, tree_to_dict,
@@ -22,8 +22,8 @@ from arfcurves.numerical import MultiplicitySequence, NumericalSemigroup, decomp
 from helpers import (TWELVE, arf_good_oracle, branches_and_splits_oracle,
                      canonical_form_entry_oracle, canonical_form_oracle, condition_c_oracle,
                      decomposition_lengths_oracle, glued_order_oracle, good_mutants,
-                     node_path_sum_oracle, random_arf_sequence, random_tree,
-                     tree_semigroup_oracle)
+                     max_valid_splits_oracle, node_path_sum_oracle, random_arf_sequence,
+                     random_tree, tree_semigroup_oracle)
 
 # Two branches of multiplicity 2 glued one level past the root.
 T_PAIR = MultiplicityTree([[2], [2]], splits=(1,))
@@ -625,6 +625,30 @@ def test_condition_c_matches_the_pair_scan_oracle_on_fuzzed_trees():
                      for verdict in (True, False, ValidationError)} - {(1, False)}
     for seq in pool:
         assert _outcome(decomposition_lengths, seq) == _outcome(decomposition_lengths_oracle, seq)
+
+
+def test_capped_splits_match_the_split_search_oracle():
+    # condition c is one cap per adjacent pair: the capped tree's splits are
+    # the search's largest valid splits within the bounds, and a split vector
+    # passes the pair scan exactly when it is at most the caps everywhere
+    rng = random.Random(27)
+    capped = lowered = failing = 0
+    for _ in range(1500):
+        d = rng.randint(2, 6)
+        branches = [random_arf_sequence(rng, max_len=4, max_entry=12) for _ in range(d)]
+        bounds = [rng.randint(0, 12) for _ in range(d - 1)]
+        T = _capped_tree(branches, bounds)
+        assert T.splits == max_valid_splits_oracle(branches, bounds), (branches, bounds)
+        assert validate_tree(T) == (True, None) and condition_c_oracle(branches, T.splits) is None
+        caps = _capped_tree(branches, [MAX_TREE_MEMBERS] * (d - 1)).splits
+        splits = tuple(rng.randint(0, 12) for _ in range(d - 1))
+        passes = all(s <= cap for s, cap in zip(splits, caps))
+        assert passes == (condition_c_oracle(branches, splits) is None), (branches, splits)
+        capped += T.splits != tuple(bounds)
+        lowered += sum(cap < MAX_TREE_MEMBERS for cap in caps) > 1
+        failing += not passes
+    # caps that lower a bound, several caps on one branch collection, and failing vectors
+    assert min(capped, lowered, failing) > 100, (capped, lowered, failing)
 
 
 def test_trusted_semigroups_equal_validated_ones(monkeypatch):
