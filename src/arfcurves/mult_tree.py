@@ -121,9 +121,10 @@ def _capped_tree(branches, bounds):
     valid ones within bounds.
     """
     ks = [decomposition_lengths(seq) for seq in branches]
-    splits = [min([bound] + [i + min(x, y) for i, (x, y)
-                             in enumerate(itertools.zip_longest(low, high, fillvalue=1)) if x != y])
-              for bound, low, high in zip(bounds, ks, ks[1:])]
+    splits = []
+    for bound, left, right in zip(bounds, ks, ks[1:]):
+        rows = itertools.zip_longest(left, right, fillvalue=1)  # past its table every k_i is 1
+        splits.append(min([bound] + [i + min(a, b) for i, (a, b) in enumerate(rows) if a != b]))
     T = MultiplicityTree(branches, splits, validate=False)
     T._verdict = (True, None)
     return T
