@@ -1,8 +1,11 @@
 """Finite character-vector sets of multi-branch Arf semigroups.
 
-A local Arf good semigroup S is pinned down by finitely many members: the
-minimal members carrying the Arf characters of each projection, plus one
-vector over each branching node that no such member already witnesses.
+A local Arf good semigroup S is pinned down by finitely many members, all
+node path sums of its tree: on each branch, the path through each level j
+at which no decomposition e_i = e_{i+1} + ... + e_{i+k_i} ends (the Arf
+characters of the branch), plus the path through one node over each
+branching node that no such vector already witnesses.  No member of S is
+read past its tree.
 Conversely, the smallest Arf semigroup containing a finite vector set V is
 computed over the branch collection E of per-coordinate Arf closures: each
 consecutive pair splits at the smaller of its membership bound from V and
@@ -15,7 +18,6 @@ costs its closure tree, with no semigroup built.
 """
 
 import itertools
-from functools import cache
 
 from .errors import (DomainError, ValidationError, echo, literal_fields, literal_int, literal_ints,
                      literal_list)
@@ -64,55 +66,29 @@ class CharacterVectorSet:
         return "CharacterVectorSet(%d, %r)" % (self.d, [list(v) for v in self.vectors])
 
 
-def _minimal_member_with_coordinate(S, j, c):
-    """The unique minimal member of S with j-th coordinate c (1-based j).
-
-    Candidates are the boxed members whose j-th coordinate is min(c, delta_j);
-    min-closure makes their coordinatewise minimum a member again, so taking
-    the minimum over each other coordinate and writing c itself in position j
-    yields the minimal such member.
-    """
-    jj = j - 1
-    capped = min(c, S.conductor[jj])
-    candidates = [g for g in S.small_elements if g[jj] == capped]
-    return tuple(c if h == jj else min(g[h] for g in candidates)
-                 for h in range(S.d))
-
-
 def build_character_vectors(S, witness_node=None):
-    """Character vectors of a local Arf good semigroup.
+    """Character vectors of a local Arf good semigroup, read off its tree.
 
     For each branch j of the tree of S and each Arf character c of its
-    sequence, the unique minimal member with j-th coordinate c is included.
-    Then every consecutive pair (j, j+1) must be witnessed by a vector at a
-    node strictly above its branching node, on branch j or j+1; when none
-    is present one is added, by default the node one level up on branch
-    j+1.  witness_node=(level, branch) overrides that default; it must sit
+    sequence, the path sum through the node at level index_of(c) on branch
+    j is included: the unique minimal member with j-th coordinate c.  Then
+    every consecutive pair (j, j+1) must be witnessed by a vector at a node
+    strictly above its branching node, on branch j or j+1; when none is
+    present one is added, by default the node one level up on branch j+1.
+    witness_node=(level, branch) overrides that default; it must sit
     strictly above the branching node of a pair that needs a witness.
+    Vectors are kept as nodes (branch, level): the level-k node of branch b
+    lies on branch l iff k <= pair_split(b, l), and distinct nodes have
+    distinct path sums.
     """
     T = semigroup_to_tree(S)
-
-    @cache
-    def node_level(v, l):  # k with v == node_path_sum(T, l, k), or None (1-based l)
-        seq, target = T.branches[l - 1], v[l - 1]
-        k = seq.index_of(target)
-        return k if seq.prefix_sum(k + 1) == target and node_path_sum(T, l, k) == v else None
-
-    vectors = []
-    seen = set()
-    for j, seq in enumerate(T.branches, 1):
-        for c in characters_of_seq(seq):
-            v = _minimal_member_with_coordinate(S, j, c)
-            if v not in seen:
-                seen.add(v)
-                vectors.append(v)
+    nodes = [(j, seq.index_of(c)) for j, seq in enumerate(T.branches, 1)
+             for c in characters_of_seq(seq)]
     override_used = witness_node is None
     for j in range(1, S.d):
         s = T.pair_split(j - 1, j)
-        witnessed = any(
-            (lvl := node_level(v, l)) is not None and lvl > s
-            for v in vectors for l in (j, j + 1))
-        if witnessed:
+        if any(k > s and (b == l or k <= T.pair_split(b - 1, l - 1))
+               for b, k in nodes for l in (j, j + 1)):
             continue
         level, branch = (witness_node if not override_used
                          else (s + 1, j + 1))
@@ -120,14 +96,11 @@ def build_character_vectors(S, witness_node=None):
             override_used = True
         else:
             level, branch = s + 1, j + 1
-        v = node_path_sum(T, branch, level)
-        if v not in seen:
-            seen.add(v)
-            vectors.append(v)
+        nodes.append((branch, level))
     if not override_used:
         raise DomainError("witness node %r does not sit strictly above an "
                           "unwitnessed branching node" % (witness_node,))
-    return CharacterVectorSet(S.d, vectors)
+    return CharacterVectorSet(S.d, (node_path_sum(T, b, k) for b, k in nodes))
 
 
 def _closure_tree(d, vectors, closures):

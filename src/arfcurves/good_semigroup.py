@@ -310,12 +310,18 @@ def is_arf_good(S):
     S is the product of its local factors (Barucci, D'Anna, Froeberg 2000)
     and a factor N, which is Arf, per coordinate with delta_j = 0.  Each
     local factor is Arf iff mult_tree._arf_tree reads its tree off it; the
-    size refusals of that reading pass through as DomainErrors.
+    size refusals of that reading pass through as DomainErrors.  A factor
+    on all coordinates in order is S itself when no delta - e_j is a member,
+    and is then read in place.
     """
     from .mult_tree import _arf_tree
 
+    whole = list(range(S.d))
+    minimal = not any(c and (*S.conductor[:j], c - 1, *S.conductor[j + 1:]) in S._small_set
+                      for j, c in enumerate(S.conductor))
     try:
-        return all(_arf_tree(_project(S, coords)) for coords in _local_factors(S))
+        return all(_arf_tree(S if minimal and coords == whole else _project(S, coords))
+                   for coords in _local_factors(S))
     except ValidationError:
         return False
 

@@ -8,6 +8,7 @@ k_i >= 1 at every index.
 """
 
 from bisect import bisect_left
+from collections import Counter
 from itertools import accumulate
 from math import gcd, inf
 
@@ -268,16 +269,22 @@ def decomposition_lengths(seq):
 
 
 def restriction_numbers(seq):
-    """r(e_j) = #{i < j : i + k_i >= j}, for the same index range as decomposition_lengths."""
+    """r(e_j) = #{i < j : i + k_i >= j}, for the same index range as decomposition_lengths.
+
+    Index j adds its own decomposition (k_j >= 1) and drops those ending at j,
+    so r(e_{j+1}) = r(e_j) + 1 - #{i : i + k_i = j}: one running sum."""
     ks = decomposition_lengths(seq)
-    return [sum(1 for i in range(j) if i + ks[i] >= j) for j in range(len(ks))]
+    ends = Counter(i + k for i, k in enumerate(ks))
+    return list(accumulate((1 - ends[j] for j in range(len(ks) - 1)), initial=0))
 
 
 def characters_of_seq(seq):
-    """Arf characters read off a multiplicity sequence: prefix sums e_0 + ... + e_j
-    at the indices j where r(e_j) < r(e_{j+1}); r is 1 on the last two indices."""
-    rs = restriction_numbers(seq)
-    return tuple(seq.prefix_sum(j + 1) for j in range(len(rs) - 1) if rs[j] < rs[j + 1])
+    """Arf characters read off a multiplicity sequence: the prefix sums e_0 + ... + e_j
+    at the indices j where no decomposition ends, no i having i + k_i = j; these
+    are the j with r(e_j) < r(e_{j+1})."""
+    ks = decomposition_lengths(seq)
+    ends = {i + k for i, k in enumerate(ks)}
+    return tuple(seq.prefix_sum(j + 1) for j in range(len(ks) - 1) if j not in ends)
 
 
 def arf_characters(S):

