@@ -186,7 +186,7 @@ def test_restriction_numbers_and_characters_match_the_double_loop_oracle():
 
 def test_characters_time_follows_the_sequence():
     # <2,160001> has 80,000 entries 2 in its multiplicity sequence; the
-    # double loop over restriction numbers took 143 s, the decomposition ends
+    # double loop over restriction numbers took 155 s, the decomposition ends
     # take about 0.05 s (2 cores, CPython 3.11.7)
     S = NumericalSemigroup.from_generators([2, 160001])
     start = time.perf_counter()
